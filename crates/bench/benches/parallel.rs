@@ -1,9 +1,10 @@
-//! Scaling of the deterministic parallel layer: the same
-//! `measure_loss_curve` workload pinned to 1 / 2 / 4 / 8 workers via
-//! `vapp_par::with_threads`. By the vapp-par invariant the outputs are
-//! byte-identical at every point on this curve — only wall-clock moves —
-//! so the per-worker medians in `BENCH_parallel.json` read directly as a
-//! scaling curve.
+//! Scaling of the deterministic parallel layer: two workloads pinned to
+//! 1 / 2 / 4 / 8 workers via `vapp_par::with_threads` — the
+//! `measure_loss_curve` trial fan-out (`loss_curve_w*`) and a CIF encode,
+//! whose mode decision runs as a macroblock-row wavefront (`encode_w*`).
+//! By the vapp-par invariant the outputs are byte-identical at every point
+//! on these curves — only wall-clock moves — so the per-worker medians in
+//! `BENCH_parallel.json` read directly as scaling curves.
 
 use std::hint::black_box;
 use vapp_bench::harness::Criterion;
@@ -41,6 +42,19 @@ fn bench_parallel(c: &mut Criterion) {
                     ))
                 })
             });
+        });
+    }
+    // CIF (352x288), 8 frames, two B frames between anchors.
+    let cif = ClipSpec::new(352, 288, 8, SceneKind::MovingBlocks)
+        .seed(7)
+        .generate();
+    let cif_encoder = Encoder::new(EncoderConfig {
+        bframes: 2,
+        ..EncoderConfig::default()
+    });
+    for workers in [1usize, 2, 4, 8] {
+        group.bench_function(format!("encode_w{workers}"), |b| {
+            b.iter(|| vapp_par::with_threads(workers, || black_box(cif_encoder.encode(&cif))));
         });
     }
     group.finish();

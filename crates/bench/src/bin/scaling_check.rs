@@ -4,8 +4,9 @@
 //! scaling_check BENCH_parallel.json [--min-speedup 1.5] [--cores N] [--obs OBS.json]
 //! ```
 //!
-//! Reads the `parallel` bench group emitted by `benches/parallel.rs` and
-//! requires `loss_curve_w4` to beat `loss_curve_w1` by at least the
+//! Reads the `parallel` bench group emitted by `benches/parallel.rs` and,
+//! for each gated lane — the `loss_curve` trial fan-out and the `encode`
+//! wavefront — requires `<lane>_w4` to beat `<lane>_w1` by at least the
 //! minimum speedup. The workloads are byte-identical by the vapp-par
 //! determinism invariant, so the ratio of their medians is a pure
 //! scaling measurement.
@@ -17,7 +18,7 @@
 //! tasks (low busy fraction) look very different from workers saturated
 //! by an inherently serial stage.
 //!
-//! On a host with fewer than 4 cores the 4-worker lane cannot physically
+//! On a host with fewer than 4 cores the 4-worker point cannot physically
 //! fan out, so a shortfall there is reported as a `::warning::`
 //! annotation instead of a failure — the gate only binds where the
 //! hardware can satisfy it. `--cores` overrides the detected count
@@ -26,6 +27,9 @@
 use std::process::ExitCode;
 use vapp_obs::json::Value;
 use vapp_obs::Snapshot;
+
+/// The bench lanes the gate binds, each measured at `_w1` and `_w4`.
+const LANES: [&str; 2] = ["loss_curve", "encode"];
 
 /// One worker's utilization, read from the `par.worker.<w>.*` counters.
 #[derive(Debug, PartialEq)]
@@ -122,9 +126,15 @@ enum Outcome {
     SoftPass { speedup: f64, cores: usize },
 }
 
-/// Evaluates w1-vs-w4 scaling from the bench medians. Fails hard only
-/// when the host has at least 4 cores and the speedup is below the bar.
-fn evaluate(medians: &[(String, f64)], min_speedup: f64, cores: usize) -> Result<Outcome, String> {
+/// Evaluates one lane's w1-vs-w4 scaling from the bench medians. Fails
+/// hard only when the host has at least 4 cores and the speedup is below
+/// the bar.
+fn evaluate(
+    medians: &[(String, f64)],
+    lane: &str,
+    min_speedup: f64,
+    cores: usize,
+) -> Result<Outcome, String> {
     let find = |name: &str| -> Result<f64, String> {
         medians
             .iter()
@@ -132,10 +142,10 @@ fn evaluate(medians: &[(String, f64)], min_speedup: f64, cores: usize) -> Result
             .map(|(_, m)| *m)
             .ok_or_else(|| format!("bench `{name}` not found in the parallel group"))
     };
-    let w1 = find("loss_curve_w1")?;
-    let w4 = find("loss_curve_w4")?;
+    let w1 = find(&format!("{lane}_w1"))?;
+    let w4 = find(&format!("{lane}_w4"))?;
     if w4 <= 0.0 {
-        return Err(format!("loss_curve_w4 median is not positive ({w4})"));
+        return Err(format!("{lane}_w4 median is not positive ({w4})"));
     }
     let speedup = w1 / w4;
     if speedup >= min_speedup {
@@ -144,7 +154,7 @@ fn evaluate(medians: &[(String, f64)], min_speedup: f64, cores: usize) -> Result
         Ok(Outcome::SoftPass { speedup, cores })
     } else {
         Err(format!(
-            "parallel scaling regressed: loss_curve speedup at 4 workers is \
+            "parallel scaling regressed: {lane} speedup at 4 workers is \
              {speedup:.2}x (w1 {w1:.0} ns / w4 {w4:.0} ns), required >= \
              {min_speedup:.2}x on this {cores}-core host"
         ))
@@ -202,30 +212,33 @@ fn run() -> Result<(), String> {
         }
         None => String::new(),
     };
-    match evaluate(&medians, min_speedup, cores).map_err(|e| {
-        if utilization.is_empty() {
-            e
-        } else {
-            format!("{e}\nworker utilization for this run:\n{utilization}")
-        }
-    })? {
-        Outcome::Pass { speedup } => {
-            println!(
-                "scaling_check: 4-worker speedup {speedup:.2}x >= {min_speedup:.2}x \
+    let mut failures = Vec::new();
+    for lane in LANES {
+        match evaluate(&medians, lane, min_speedup, cores) {
+            Ok(Outcome::Pass { speedup }) => println!(
+                "scaling_check: {lane} 4-worker speedup {speedup:.2}x >= {min_speedup:.2}x \
                  ({cores} cores) — ok"
-            );
-        }
-        Outcome::SoftPass { speedup, cores } => {
+            ),
             // GitHub annotation syntax: visible in the job summary without
             // failing the run.
-            println!(
-                "::warning::scaling_check: 4-worker speedup {speedup:.2}x is below \
+            Ok(Outcome::SoftPass { speedup, cores }) => println!(
+                "::warning::scaling_check: {lane} 4-worker speedup {speedup:.2}x is below \
                  {min_speedup:.2}x, but this host has only {cores} cores — \
                  not enforced (needs >= 4 cores to bind)"
-            );
+            ),
+            Err(e) => failures.push(e),
         }
     }
-    Ok(())
+    if failures.is_empty() {
+        return Ok(());
+    }
+    let mut err = failures.join("\n");
+    if !utilization.is_empty() {
+        err.push_str(&format!(
+            "\nworker utilization for this run:\n{utilization}"
+        ));
+    }
+    Err(err)
 }
 
 fn main() -> ExitCode {
@@ -242,18 +255,22 @@ fn main() -> ExitCode {
 mod tests {
     use super::*;
 
-    fn medians(w1: f64, w4: f64) -> Vec<(String, f64)> {
+    fn lane_medians(lane: &str, w1: f64, w4: f64) -> Vec<(String, f64)> {
         vec![
-            ("loss_curve_w1".to_string(), w1),
-            ("loss_curve_w2".to_string(), (w1 + w4) / 2.0),
-            ("loss_curve_w4".to_string(), w4),
-            ("loss_curve_w8".to_string(), w4),
+            (format!("{lane}_w1"), w1),
+            (format!("{lane}_w2"), (w1 + w4) / 2.0),
+            (format!("{lane}_w4"), w4),
+            (format!("{lane}_w8"), w4),
         ]
+    }
+
+    fn medians(w1: f64, w4: f64) -> Vec<(String, f64)> {
+        lane_medians("loss_curve", w1, w4)
     }
 
     #[test]
     fn good_scaling_passes() {
-        let out = evaluate(&medians(1000.0, 400.0), 1.5, 8).expect("pass");
+        let out = evaluate(&medians(1000.0, 400.0), "loss_curve", 1.5, 8).expect("pass");
         match out {
             Outcome::Pass { speedup } => assert!((speedup - 2.5).abs() < 1e-12),
             other => panic!("expected Pass, got {other:?}"),
@@ -262,14 +279,14 @@ mod tests {
 
     #[test]
     fn poor_scaling_fails_on_a_big_host() {
-        let err = evaluate(&medians(1000.0, 900.0), 1.5, 8).expect_err("must fail");
+        let err = evaluate(&medians(1000.0, 900.0), "loss_curve", 1.5, 8).expect_err("must fail");
         assert!(err.contains("regressed"), "{err}");
         assert!(err.contains("1.11x"), "reports the measured speedup: {err}");
     }
 
     #[test]
     fn poor_scaling_soft_passes_on_a_small_host() {
-        let out = evaluate(&medians(1000.0, 900.0), 1.5, 2).expect("soft pass");
+        let out = evaluate(&medians(1000.0, 900.0), "loss_curve", 1.5, 2).expect("soft pass");
         match out {
             Outcome::SoftPass { speedup, cores } => {
                 assert!((speedup - 1000.0 / 900.0).abs() < 1e-12);
@@ -283,15 +300,33 @@ mod tests {
     fn good_scaling_on_a_small_host_is_a_plain_pass() {
         // A 2-core box that still clears the bar (e.g. SMT) passes
         // normally — the soft path is only for shortfalls.
-        let out = evaluate(&medians(1000.0, 500.0), 1.5, 2).expect("pass");
+        let out = evaluate(&medians(1000.0, 500.0), "loss_curve", 1.5, 2).expect("pass");
         assert!(matches!(out, Outcome::Pass { .. }));
     }
 
     #[test]
     fn missing_lanes_are_an_error() {
         let only_w1 = vec![("loss_curve_w1".to_string(), 1000.0)];
-        let err = evaluate(&only_w1, 1.5, 8).expect_err("must fail");
+        let err = evaluate(&only_w1, "loss_curve", 1.5, 8).expect_err("must fail");
         assert!(err.contains("loss_curve_w4"), "{err}");
+    }
+
+    #[test]
+    fn encode_lane_is_gated_by_the_same_rule() {
+        let mut both = medians(1000.0, 400.0);
+        both.extend(lane_medians("encode", 1000.0, 900.0));
+        assert!(matches!(
+            evaluate(&both, "loss_curve", 1.5, 8),
+            Ok(Outcome::Pass { .. })
+        ));
+        let err = evaluate(&both, "encode", 1.5, 8).expect_err("encode must fail");
+        assert!(err.contains("encode speedup"), "{err}");
+        assert!(matches!(
+            evaluate(&both, "encode", 1.5, 2),
+            Ok(Outcome::SoftPass { cores: 2, .. })
+        ));
+        let err = evaluate(&medians(1000.0, 400.0), "encode", 1.5, 8).expect_err("missing");
+        assert!(err.contains("encode_w1"), "{err}");
     }
 
     #[test]

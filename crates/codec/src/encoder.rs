@@ -28,7 +28,7 @@ use crate::analysis::{AnalysisRecord, Dependency, FrameAnalysis, MbAnalysis};
 use crate::entropy::{CabacWriter, CavlcWriter, Element, EntropyMode, SymbolWriter};
 use crate::inter::{
     bi_average_into, mc_block_sub_into, ref_rect, sad_against_bounded, search_sub_stats,
-    SearchResult, SearchStats, MAX_BLOCK_PIXELS,
+    CellSadMap, SearchStats, MAX_BLOCK_PIXELS,
 };
 use crate::intra::{intra_sources, predict_intra16, predict_intra4, Intra4Avail, IntraAvail};
 use crate::quant::{dequant_inverse, forward_quant, to_zigzag, MAX_QP};
@@ -165,39 +165,25 @@ impl Encoder {
         let mut analyses = Vec::with_capacity(plans.len());
         let mut recon_display: Vec<Option<Frame>> = vec![None; video.len()];
 
-        // Frames encode in coding order, but a run of consecutive B frames
-        // only reads anchors already in the DPB (closed GOPs; B frames are
-        // never references), so each run encodes as one parallel wave.
-        // Anchors encode alone; their per-macroblock candidate pass
-        // parallelises inside `encode_frame` instead. Each frame's output
-        // is a pure function of its sources and references, so the stream
-        // is byte-identical at any worker count.
-        let mut next = 0;
-        while next < plans.len() {
-            let wave_end = if plans[next].frame_type == FrameType::B {
-                plans[next..]
-                    .iter()
-                    .position(|p| p.frame_type != FrameType::B)
-                    .map_or(plans.len(), |off| next + off)
-            } else {
-                next + 1
-            };
-            let outs = vapp_par::par_map(plans[next..wave_end].iter().collect(), |_, plan| {
-                let cur = &padded[plan.display];
-                let ref_fwd = plan
+        // Frames encode one at a time in coding order; each frame's mode
+        // decision fans out inside `encode_frame` as a macroblock-row
+        // wavefront. Every frame's output is a pure function of its sources
+        // and references, so the stream is byte-identical at any worker
+        // count.
+        for plan in &plans {
+            let fctx = FrameCtx {
+                cfg: &self.cfg,
+                grid: &grid,
+                plan,
+                cur: &padded[plan.display],
+                ref_fwd: plan
                     .ref_fwd
-                    .map(|ci| dpb[ci].as_ref().expect("fwd ref coded"));
-                let ref_bwd = plan
+                    .map(|ci| dpb[ci].as_ref().expect("fwd ref coded")),
+                ref_bwd: plan
                     .ref_bwd
-                    .map(|ci| dpb[ci].as_ref().expect("bwd ref coded"));
-                let fctx = FrameCtx {
-                    cfg: &self.cfg,
-                    grid: &grid,
-                    plan,
-                    cur,
-                    ref_fwd,
-                    ref_bwd,
-                };
+                    .map(|ci| dpb[ci].as_ref().expect("bwd ref coded")),
+            };
+            let out = {
                 let coding = plan.coding;
                 let frame_type = plan.frame_type;
                 let _frame_span = vapp_obs::span!("codec.frame.encode", coding, frame_type);
@@ -209,35 +195,32 @@ impl Encoder {
                     crate::deblock::deblock_plane(&mut out.recon, frame_qp(&self.cfg, frame_type));
                 }
                 out
+            };
+            record_frame_metrics(&out);
+            let header = FrameHeader {
+                coding_index: plan.coding as u32,
+                display_index: plan.display as u32,
+                frame_type: plan.frame_type,
+                qp: frame_qp(&self.cfg, plan.frame_type),
+                ref_fwd: plan.ref_fwd.map(|v| v as u32),
+                ref_bwd: plan.ref_bwd.map(|v| v as u32),
+                slice_lens: out.slice_lens,
+            };
+            let mut analysis = out.analysis;
+            analysis.coding_index = plan.coding;
+            analysis.display_index = plan.display;
+            analysis.header_bits = header.bit_len();
+            analyses.push(analysis);
+            frames.push(EncodedFrame {
+                header,
+                payload: out.payload,
             });
-            for (plan, out) in plans[next..wave_end].iter().zip(outs) {
-                record_frame_metrics(&out);
-                let header = FrameHeader {
-                    coding_index: plan.coding as u32,
-                    display_index: plan.display as u32,
-                    frame_type: plan.frame_type,
-                    qp: frame_qp(&self.cfg, plan.frame_type),
-                    ref_fwd: plan.ref_fwd.map(|v| v as u32),
-                    ref_bwd: plan.ref_bwd.map(|v| v as u32),
-                    slice_lens: out.slice_lens,
-                };
-                let mut analysis = out.analysis;
-                analysis.coding_index = plan.coding;
-                analysis.display_index = plan.display;
-                analysis.header_bits = header.bit_len();
-                analyses.push(analysis);
-                frames.push(EncodedFrame {
-                    header,
-                    payload: out.payload,
-                });
-                recon_display[plan.display] = Some(Frame::from_plane(crop(
-                    &out.recon,
-                    video.width(),
-                    video.height(),
-                )));
-                dpb[plan.coding] = Some(out.recon);
-            }
-            next = wave_end;
+            recon_display[plan.display] = Some(Frame::from_plane(crop(
+                &out.recon,
+                video.width(),
+                video.height(),
+            )));
+            dpb[plan.coding] = Some(out.recon);
         }
 
         let stream = EncodedVideo {
@@ -450,20 +433,27 @@ pub(crate) fn mvd_ctx_inc(states: &[MbState], nb: &Neighbors) -> usize {
     }
 }
 
+impl MbState {
+    /// What this macroblock contributes to a neighbour's motion-vector
+    /// prediction in one direction (`fwd = true` for list 0): nothing when
+    /// uncoded or intra, otherwise its vector (zero if it has none).
+    fn mv_candidate(&self, fwd: bool) -> Option<MotionVector> {
+        if !self.coded || self.intra {
+            return None;
+        }
+        Some(if fwd { self.mv_fwd } else { self.mv_bwd }.unwrap_or(MotionVector::ZERO))
+    }
+}
+
 /// Motion-vector predictor for the first block of a macroblock, per
 /// direction (`fwd = true` for list 0).
 pub(crate) fn mb_mv_pred(states: &[MbState], nb: &Neighbors, fwd: bool) -> MotionVector {
-    let get = |i: Option<usize>| -> Option<MotionVector> {
-        let s = &states[i?];
-        if !s.coded || s.intra {
-            return None;
-        }
-        Some(if fwd {
-            s.mv_fwd.unwrap_or(MotionVector::ZERO)
-        } else {
-            s.mv_bwd.unwrap_or(MotionVector::ZERO)
-        })
-    };
+    mv_pred_from(nb, fwd, |i| states[i])
+}
+
+/// [`mb_mv_pred`] over any lookup of the neighbours' states.
+fn mv_pred_from(nb: &Neighbors, fwd: bool, state: impl Fn(usize) -> MbState) -> MotionVector {
+    let get = |i: Option<usize>| state(i?).mv_candidate(fwd);
     predict_mv(get(nb.left), get(nb.above), get(nb.above_right))
 }
 
@@ -501,17 +491,17 @@ struct FrameOut {
     analysis: FrameAnalysis,
     /// Entropy-coder binary decisions across all slices (observability).
     bins: u64,
-    /// SAD evaluations pruned by the running-best bound, summed over every
-    /// search this frame actually consumed (observability). Candidate-pass
-    /// searches count only when the mode decision uses their result, so the
-    /// total is identical at any worker count.
-    early_exits: u64,
+    /// Search counters summed over every macroblock's mode decision
+    /// (observability). Each decision is a pure function of its inputs, so
+    /// the totals are identical at any worker count.
+    search: SearchStats,
 }
 
 /// Batches one coded frame's metrics into the observability registry:
-/// macroblock mode mix, per-macroblock bit spans, payload size and
-/// entropy-coder bin count. One registry lookup per metric per frame —
-/// the per-macroblock work is plain atomic adds on hoisted handles.
+/// macroblock mode mix, per-macroblock bit spans, payload size,
+/// entropy-coder bin count and the mode-decision sub-layer counters. One
+/// registry lookup per metric per frame — the per-macroblock work is plain
+/// atomic adds on hoisted handles.
 fn record_frame_metrics(out: &FrameOut) {
     let reg = vapp_obs::current();
     let (mut intra, mut skip) = (0u64, 0u64);
@@ -528,7 +518,16 @@ fn record_frame_metrics(out: &FrameOut) {
     reg.counter("codec.payload.bits")
         .add(out.payload.len() as u64 * 8);
     reg.counter("codec.arith.bins").add(out.bins);
-    reg.counter("codec.sad.early_exit").add(out.early_exits);
+    let search = &out.search;
+    reg.counter("codec.sad.early_exit").add(search.early_exits);
+    reg.counter("codec.search.fullpel_cands")
+        .add(search.fullpel_cands);
+    reg.counter("codec.search.map_builds")
+        .add(search.map_builds);
+    reg.counter("codec.search.halfpel_cands")
+        .add(search.halfpel_cands);
+    reg.counter("codec.search.bipred_evals")
+        .add(search.bipred_evals);
 }
 
 /// The chosen coding mode for one macroblock.
@@ -555,6 +554,48 @@ struct InterBlock {
     mv_bwd: MotionVector,
 }
 
+impl MbMode {
+    /// The state this mode leaves for later macroblocks' predictors and
+    /// contexts (`mvd_mag` is left to the coding pass, which computes it).
+    fn state(&self, is_b: bool) -> MbState {
+        let (skip, intra, mv_fwd, mv_bwd) = match self {
+            MbMode::Skip { mv } => (true, false, Some(*mv), None),
+            MbMode::Intra { .. } | MbMode::Intra4 => (false, true, None, None),
+            MbMode::Inter { blocks, .. } => (
+                false,
+                false,
+                blocks
+                    .iter()
+                    .find(|b| b.dir != PredDir::Backward)
+                    .map(|b| b.mv_fwd),
+                blocks
+                    .iter()
+                    .find(|b| is_b && b.dir != PredDir::Forward)
+                    .map(|b| b.mv_bwd),
+            ),
+        };
+        MbState {
+            coded: true,
+            skip,
+            intra,
+            mv_fwd,
+            mv_bwd,
+            mvd_mag: 0,
+        }
+    }
+}
+
+/// One macroblock's mode decision, made in the wavefront and consumed by
+/// the sequential coding pass.
+struct MbDecision {
+    /// Per-MB QP after motion-adaptive quantisation.
+    qp: u8,
+    /// Forward motion-vector predictor from the decided neighbours.
+    pred_fwd: MotionVector,
+    mode: MbMode,
+    stats: SearchStats,
+}
+
 fn encode_frame<W, F>(ctx: &FrameCtx<'_>, new_writer: F) -> FrameOut
 where
     W: SymbolWriter,
@@ -569,25 +610,38 @@ where
     let mut slice_starts = Vec::new();
     let mut bins = 0u64;
     let base_qp = frame_qp(ctx.cfg, ctx.plan.frame_type);
+    let is_b = ctx.plan.frame_type == FrameType::B;
     let slices = slice_rows(grid.mb_rows(), ctx.cfg.slices as usize);
 
-    // Parallel candidate pass: every probe that reads only the source and
-    // reference planes (adaptive QP, intra cost probes, the backward full
-    // search) is computed for all macroblocks up front, leaving the
-    // sequential pass below just the state-dependent work. The values are
-    // exactly what the sequential pass would compute inline, so the coded
-    // stream is bit-identical with or without workers.
+    // Mode decision runs as a macroblock-row wavefront: a macroblock's
+    // decision reads the source and reference planes plus only the forward
+    // MV predictor, which comes from the decisions of its left, above and
+    // above-right neighbours — exactly what the wavefront has finished when
+    // it runs. The sequential pass below then writes syntax, reconstructs
+    // and entropy-codes from the stored decisions, so the coded stream is
+    // bit-identical at any worker count.
     let mut slice_top = vec![0usize; grid.mb_rows()];
     for &(row_start, row_end) in &slices {
         slice_top[row_start..row_end].fill(row_start);
     }
-    let with_bwd = ctx.ref_bwd.is_some() && vapp_par::would_parallelize();
-    let cands = vapp_par::par_map((0..grid.mb_count()).collect(), |_, mb| {
-        let (_, row) = grid.mb_position(mb);
-        mb_candidates(ctx, mb, slice_top[row], base_qp, with_bwd)
-    });
+    let decisions = vapp_par::par_wavefront(
+        grid.mb_rows(),
+        grid.mb_cols(),
+        |row, col, done: &vapp_par::WaveCells<'_, MbDecision>| {
+            let mb = grid.mb_index(col, row);
+            let nb = neighbors(grid, mb, slice_top[row]);
+            let pred_fwd = mv_pred_from(&nb, true, |i| {
+                let (c, r) = grid.mb_position(i);
+                done.get(r, c).mode.state(is_b)
+            });
+            decide_mb(ctx, mb, &nb, base_qp, pred_fwd)
+        },
+    );
+    let mut search = SearchStats::default();
+    for d in &decisions {
+        search.merge(d.stats);
+    }
 
-    let mut search_stats = SearchStats::default();
     for &(row_start, row_end) in &slices {
         let mut w = new_writer();
         let slice_base_bits = payload.len() as u64 * 8;
@@ -604,9 +658,8 @@ where
                     &mut states,
                     mb,
                     row_start,
-                    &cands[mb],
+                    &decisions[mb],
                     &mut prev_qp,
-                    &mut search_stats,
                 );
                 mbs[mb] = MbAnalysis {
                     bit_start,
@@ -641,7 +694,7 @@ where
             slice_starts,
         },
         bins,
-        early_exits: search_stats.early_exits,
+        search,
     }
 }
 
@@ -653,9 +706,8 @@ fn encode_mb<W: SymbolWriter>(
     states: &mut [MbState],
     mb: usize,
     slice_top_row: usize,
-    cand: &MbCandidates,
+    decision: &MbDecision,
     prev_qp: &mut u8,
-    stats: &mut SearchStats,
 ) -> (Vec<Dependency>, bool, bool) {
     let grid = ctx.grid;
     let (col, row) = grid.mb_position(mb);
@@ -673,17 +725,9 @@ fn encode_mb<W: SymbolWriter>(
         &mut cur_block,
     );
 
-    // Per-MB QP comes from the candidate pass (CRF-like motion-adaptive
-    // quantisation); only the MV prediction is state-dependent.
-    let qp = cand.qp;
-    let pred_fwd = mb_mv_pred(states, &nb, true);
-    let lam = lambda(qp);
-
-    // --- mode decision ---
-    let mode = {
-        let _search_span = vapp_obs::span!("codec.mb.search");
-        decide_mode(ctx, mb_x, mb_y, &cur_block, cand, qp, lam, pred_fwd, stats)
-    };
+    let qp = decision.qp;
+    let pred_fwd = decision.pred_fwd;
+    debug_assert_eq!(pred_fwd, mb_mv_pred(states, &nb, true));
 
     // --- write syntax + reconstruct ---
     let avail = IntraAvail {
@@ -692,8 +736,8 @@ fn encode_mb<W: SymbolWriter>(
     };
     let mut deps = Vec::new();
     let (intra_flag, skip_flag);
-    match mode {
-        MbMode::Skip { mv } => {
+    match &decision.mode {
+        &MbMode::Skip { mv } => {
             w.put_flag(Element::Skip, skip_ctx_inc(states, &nb), true);
             let mut pred = [0u8; MAX_BLOCK_PIXELS];
             mc_block_sub_into(
@@ -719,19 +763,12 @@ fn encode_mb<W: SymbolWriter>(
                 1.0,
                 ctx.cfg.subpel,
             );
-            states[mb] = MbState {
-                coded: true,
-                skip: true,
-                intra: false,
-                mv_fwd: Some(mv),
-                mv_bwd: None,
-                mvd_mag: 0,
-            };
+            states[mb] = decision.mode.state(is_b);
             intra_flag = false;
             skip_flag = true;
             return (deps, intra_flag, skip_flag);
         }
-        MbMode::Intra { mode: im } => {
+        &MbMode::Intra { mode: im } => {
             if inter_allowed {
                 w.put_flag(Element::Skip, skip_ctx_inc(states, &nb), false);
                 w.put_flag(Element::Intra, intra_ctx_inc(states, &nb), true);
@@ -748,14 +785,7 @@ fn encode_mb<W: SymbolWriter>(
                 });
             }
             code_residual_and_recon(w, recon, mb_x, mb_y, &cur_block, &pred, qp, true, prev_qp);
-            states[mb] = MbState {
-                coded: true,
-                skip: false,
-                intra: true,
-                mv_fwd: None,
-                mv_bwd: None,
-                mvd_mag: 0,
-            };
+            states[mb] = decision.mode.state(is_b);
             intra_flag = true;
             skip_flag = false;
         }
@@ -776,14 +806,7 @@ fn encode_mb<W: SymbolWriter>(
                 });
             }
             code_intra4_mb(w, recon, ctx.cur, mb_x, mb_y, avail, qp, prev_qp);
-            states[mb] = MbState {
-                coded: true,
-                skip: false,
-                intra: true,
-                mv_fwd: None,
-                mv_bwd: None,
-                mvd_mag: 0,
-            };
+            states[mb] = decision.mode.state(is_b);
             intra_flag = true;
             skip_flag = false;
         }
@@ -806,7 +829,7 @@ fn encode_mb<W: SymbolWriter>(
             // per-candidate Vec allocations in the compensation loop.
             let mut block_pred = [0u8; MAX_BLOCK_PIXELS];
             let mut bwd_pred = [0u8; MAX_BLOCK_PIXELS];
-            for (i, (g, b)) in geoms.iter().zip(&blocks).enumerate() {
+            for (i, (g, b)) in geoms.iter().zip(blocks).enumerate() {
                 if is_b {
                     w.put_uint(Element::PredDir, 0, b.dir.to_index());
                 }
@@ -942,21 +965,9 @@ fn encode_mb<W: SymbolWriter>(
             code_residual_and_recon(
                 w, recon, mb_x, mb_y, &cur_block, &pred16, qp, false, prev_qp,
             );
-            let rep_fwd = blocks
-                .iter()
-                .find(|b| b.dir != PredDir::Backward)
-                .map(|b| b.mv_fwd);
-            let rep_bwd = blocks
-                .iter()
-                .find(|b| is_b && b.dir != PredDir::Forward)
-                .map(|b| b.mv_bwd);
             states[mb] = MbState {
-                coded: true,
-                skip: false,
-                intra: false,
-                mv_fwd: rep_fwd,
-                mv_bwd: rep_bwd,
                 mvd_mag: first_mvd_mag,
+                ..decision.mode.state(is_b)
             };
             intra_flag = false;
             skip_flag = false;
@@ -1000,45 +1011,18 @@ fn push_mc_deps(
 
 // ------------------------------------------------------- mode decision --
 
-/// State-independent per-macroblock probes, computed from the source and
-/// reference planes only — never from neighbouring macroblock decisions —
-/// so a whole frame's worth computes in parallel before the sequential
-/// syntax/reconstruction pass consumes them bit-identically.
-struct MbCandidates {
-    /// Per-MB QP after motion-adaptive quantisation.
-    qp: u8,
-    /// Best intra-16x16 probe: (mode, cost at this MB's λ).
-    best_intra: (IntraMode, u64),
-    /// Intra-4x4 probe cost at this MB's λ.
-    intra4_cost: u64,
-    /// Backward 16x16 full search (B frames), when precomputed. `None`
-    /// means "compute lazily in `decide_mode`" — done when running
-    /// single-threaded, where speculative search for macroblocks that end
-    /// up skipped would be pure overhead.
-    bwd_whole: Option<SearchResult>,
-    /// Early-exit stats of the precomputed backward search. Merged into the
-    /// frame totals only when `decide_mode` consumes `bwd_whole`, so the
-    /// counters match the lazy single-threaded path exactly.
-    bwd_stats: SearchStats,
-}
-
-fn mb_candidates(
+/// Decides one macroblock's mode: the state-independent probes, then the
+/// mode search given the forward MV predictor from the decided
+/// neighbours. Runs as one wavefront cell.
+fn decide_mb(
     ctx: &FrameCtx<'_>,
     mb: usize,
-    slice_top_row: usize,
+    nb: &Neighbors,
     base_qp: u8,
-    with_bwd: bool,
-) -> MbCandidates {
-    let grid = ctx.grid;
-    let (col, row) = grid.mb_position(mb);
+    pred_fwd: MotionVector,
+) -> MbDecision {
+    let (col, row) = ctx.grid.mb_position(mb);
     let (mb_x, mb_y) = (col * MB_SIZE, row * MB_SIZE);
-    let nb = neighbors(grid, mb, slice_top_row);
-    let avail = IntraAvail {
-        left: nb.left.is_some(),
-        top: nb.above.is_some(),
-    };
-    let inter_allowed = ctx.ref_fwd.is_some();
-
     let mut cur_block = [0u8; 256];
     ctx.cur.copy_block(
         mb_x as isize,
@@ -1047,6 +1031,44 @@ fn mb_candidates(
         MB_SIZE,
         &mut cur_block,
     );
+    let cand = mb_candidates(ctx, mb_x, mb_y, nb, &cur_block, base_qp);
+    let mut stats = SearchStats::default();
+    let mode = {
+        let _search_span = vapp_obs::span!("codec.mb.search");
+        decide_mode(ctx, mb_x, mb_y, &cur_block, &cand, pred_fwd, &mut stats)
+    };
+    MbDecision {
+        qp: cand.qp,
+        pred_fwd,
+        mode,
+        stats,
+    }
+}
+
+/// Per-macroblock probes that read the source and reference planes only,
+/// never a neighbouring decision.
+struct MbCandidates {
+    /// Per-MB QP after motion-adaptive quantisation.
+    qp: u8,
+    /// Best intra-16x16 probe: (mode, cost at this MB's λ).
+    best_intra: (IntraMode, u64),
+    /// Intra-4x4 probe cost at this MB's λ.
+    intra4_cost: u64,
+}
+
+fn mb_candidates(
+    ctx: &FrameCtx<'_>,
+    mb_x: usize,
+    mb_y: usize,
+    nb: &Neighbors,
+    cur_block: &[u8; 256],
+    base_qp: u8,
+) -> MbCandidates {
+    let avail = IntraAvail {
+        left: nb.left.is_some(),
+        top: nb.above.is_some(),
+    };
+    let inter_allowed = ctx.ref_fwd.is_some();
 
     // --- per-MB QP (CRF-like motion-adaptive quantisation) ---
     let mut qp = base_qp;
@@ -1077,7 +1099,7 @@ fn mb_candidates(
     let mut best_intra = (IntraMode::Dc, u64::MAX);
     for m in avail.legal_modes() {
         let pred = predict_intra16(ctx.cur, mb_x, mb_y, avail, m);
-        let sad = vapp_media::kernels::sad_slices(&cur_block, &pred);
+        let sad = vapp_media::kernels::sad_slices(cur_block, &pred);
         let cost = sad + lam * if m == IntraMode::Dc { 4 } else { 6 };
         if cost < best_intra.1 {
             best_intra = (m, cost);
@@ -1110,50 +1132,25 @@ fn mb_candidates(
         total
     };
 
-    // Backward 16x16 full search: centered on the zero vector, so it
-    // reads only the source and backward reference planes.
-    let mut bwd_stats = SearchStats::default();
-    let bwd_whole = if with_bwd {
-        ctx.ref_bwd.map(|rb| {
-            search_sub_stats(
-                ctx.cur,
-                rb,
-                mb_x,
-                mb_y,
-                MB_SIZE,
-                MB_SIZE,
-                MotionVector::ZERO,
-                ctx.cfg.search_range,
-                ctx.cfg.subpel,
-                &mut bwd_stats,
-            )
-        })
-    } else {
-        None
-    };
-
     MbCandidates {
         qp,
         best_intra,
         intra4_cost,
-        bwd_whole,
-        bwd_stats,
     }
 }
 
-#[allow(clippy::too_many_arguments)]
 fn decide_mode(
     ctx: &FrameCtx<'_>,
     mb_x: usize,
     mb_y: usize,
     cur_block: &[u8; 256],
     cand: &MbCandidates,
-    qp: u8,
-    lam: u64,
     pred_fwd: MotionVector,
     stats: &mut SearchStats,
 ) -> MbMode {
     let is_b = ctx.plan.frame_type == FrameType::B;
+    let qp = cand.qp;
+    let lam = lambda(qp);
 
     let best_intra = cand.best_intra;
     let intra4_cost = cand.intra4_cost;
@@ -1213,30 +1210,25 @@ fn decide_mode(
         sp,
         stats,
     );
-    // Use the precomputed backward search when the candidate pass ran it
-    // (merging its early-exit stats only now, so skipped macroblocks never
-    // contribute and the counters are worker-count-invariant); fall back to
-    // the identical inline search otherwise.
-    let bwd_whole = match cand.bwd_whole {
-        some @ Some(_) => {
-            stats.merge(cand.bwd_stats);
-            some
-        }
-        None => ctx.ref_bwd.map(|rb| {
-            search_sub_stats(
-                ctx.cur,
-                rb,
-                mb_x,
-                mb_y,
-                MB_SIZE,
-                MB_SIZE,
-                MotionVector::ZERO,
-                ctx.cfg.search_range,
-                sp,
-                stats,
-            )
-        }),
-    };
+    // Every refinement below is a range-2 search around `whole.mv` (forward)
+    // or the backward 16x16 winner: one cell SAD map per reference serves
+    // them all.
+    let fwd_map = CellSadMap::build(ctx.cur, ref_fwd, mb_x, mb_y, whole.mv, sp, stats);
+    let bwd_map = ctx.ref_bwd.map(|rb| {
+        let bw = search_sub_stats(
+            ctx.cur,
+            rb,
+            mb_x,
+            mb_y,
+            MB_SIZE,
+            MB_SIZE,
+            MotionVector::ZERO,
+            ctx.cfg.search_range,
+            sp,
+            stats,
+        );
+        CellSadMap::build(ctx.cur, rb, mb_x, mb_y, bw.mv, sp, stats)
+    });
 
     let shapes = [
         PartShape::P16x16,
@@ -1289,18 +1281,7 @@ fn decide_mode(
                             abandoned = true;
                             break;
                         }
-                        let r = search_sub_stats(
-                            ctx.cur,
-                            ref_fwd,
-                            mb_x + g.dx,
-                            mb_y + g.dy,
-                            g.w,
-                            g.h,
-                            whole.mv,
-                            2,
-                            sp,
-                            stats,
-                        );
+                        let r = fwd_map.search(*g, stats);
                         p8_cache[p8_len] = (*g, r);
                         p8_len += 1;
                         cost += r.sad + lam * 10;
@@ -1318,25 +1299,18 @@ fn decide_mode(
         for g in &geoms {
             let bx = mb_x + g.dx;
             let by = mb_y + g.dy;
-            let refine = if *g == geoms[0] && shape == PartShape::P16x16 {
-                0
-            } else {
-                2
-            };
-            let fwd = if refine == 0 {
+            let fwd = if *g == geoms[0] && shape == PartShape::P16x16 {
                 whole
             } else if let Some(&(_, r)) = p8_cache[..p8_len].iter().find(|(cg, _)| cg == g) {
                 r
             } else {
-                search_sub_stats(
-                    ctx.cur, ref_fwd, bx, by, g.w, g.h, whole.mv, refine, sp, stats,
-                )
+                fwd_map.search(*g, stats)
             };
             let mut dir = PredDir::Forward;
             let mut chosen_sad = fwd.sad;
             let mut mv_b = MotionVector::ZERO;
-            if let (Some(rb), Some(bw)) = (ctx.ref_bwd, bwd_whole) {
-                let bwd = search_sub_stats(ctx.cur, rb, bx, by, g.w, g.h, bw.mv, 2, sp, stats);
+            if let (Some(rb), Some(bwd_map)) = (ctx.ref_bwd, &bwd_map) {
+                let bwd = bwd_map.search(*g, stats);
                 if bwd.sad + lam * 2 < chosen_sad {
                     dir = PredDir::Backward;
                     chosen_sad = bwd.sad;
@@ -1354,6 +1328,7 @@ fn decide_mode(
                 bi_average_into(&fwd_pred[..n], &scratch[..n], &mut bi[..n]);
                 let bi_bound = chosen_sad.saturating_sub(lam * 6);
                 let bi_sad = sad_against_bounded(ctx.cur, bx, by, g.w, g.h, &bi[..n], bi_bound);
+                stats.bipred_evals += 1;
                 if bi_sad + lam * 6 < chosen_sad {
                     dir = PredDir::Bi;
                     chosen_sad = bi_sad;

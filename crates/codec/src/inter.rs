@@ -5,7 +5,7 @@
 //! referenced pixel rectangles double as the temporal compensation
 //! dependencies VideoApp records (paper §4.1).
 
-use crate::types::MotionVector;
+use crate::types::{BlockGeom, MotionVector};
 use vapp_media::{Plane, MB_SIZE};
 
 /// Hard bound on motion-vector components (also the decoder's clamp for
@@ -21,21 +21,36 @@ pub struct SearchResult {
     pub sad: u64,
 }
 
-/// Counters accumulated by the bounded search loops. Threaded through by
-/// value per macroblock task (never stored in thread-locals) so the totals
-/// are identical at any worker count.
+/// Counters accumulated by the search loops. Threaded through by value
+/// per macroblock task (never stored in thread-locals) so the totals are
+/// identical at any worker count. Besides the pruning count they split the
+/// mode-decision work into sub-layers, cheap enough to keep on for every
+/// macroblock (a few integer adds per candidate).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SearchStats {
     /// SAD evaluations pruned by the running-best bound: the evaluation
     /// stopped (possibly mid-block) once its partial sum exceeded the best
     /// candidate so far, so the block was rejected without a full sum.
     pub early_exits: u64,
+    /// Full-pel candidate positions evaluated, the seed included — whether
+    /// read from the reference plane or summed from a [`CellSadMap`].
+    pub fullpel_cands: u64,
+    /// Cell SAD maps built (one per macroblock and reference searched).
+    pub map_builds: u64,
+    /// Half-pel refinement candidates evaluated.
+    pub halfpel_cands: u64,
+    /// Bi-prediction evaluations (one per B-frame block trial).
+    pub bipred_evals: u64,
 }
 
 impl SearchStats {
     /// Merges another stats record into this one.
     pub fn merge(&mut self, other: SearchStats) {
         self.early_exits += other.early_exits;
+        self.fullpel_cands += other.fullpel_cands;
+        self.map_builds += other.map_builds;
+        self.halfpel_cands += other.halfpel_cands;
+        self.bipred_evals += other.bipred_evals;
     }
 }
 
@@ -93,21 +108,46 @@ pub fn motion_search_stats(
     range: i16,
     stats: &mut SearchStats,
 ) -> SearchResult {
-    let seed_mv = MotionVector::new(
-        center.x.clamp(-MV_LIMIT, MV_LIMIT),
-        center.y.clamp(-MV_LIMIT, MV_LIMIT),
-    );
-    let mut best = SearchResult {
-        mv: seed_mv,
-        sad: cur.sad(
+    full_pel_search(center, range, stats, |mv, bound| {
+        cur.sad_bounded(
             x,
             y,
             w,
             h,
             reference,
-            x as isize + seed_mv.x as isize,
-            y as isize + seed_mv.y as isize,
-        ),
+            x as isize + mv.x as isize,
+            y as isize + mv.y as isize,
+            bound,
+        )
+    })
+}
+
+/// Clamps a vector to the legal range.
+fn clamp_mv(mv: MotionVector) -> MotionVector {
+    MotionVector::new(
+        mv.x.clamp(-MV_LIMIT, MV_LIMIT),
+        mv.y.clamp(-MV_LIMIT, MV_LIMIT),
+    )
+}
+
+/// The `±range` full-pel argmin every search shares. Candidates are
+/// `clamp(center + d)`; `sad_at(mv, bound)` must return the exact SAD when
+/// it is `<= bound` and any value `> bound` otherwise (the
+/// [`Plane::sad_bounded`] contract — an exact SAD always satisfies it).
+/// The winner is the lexicographic minimum of `(sad, distance-to-center)`,
+/// and every candidate that loses on `sad > best` counts as an early exit,
+/// so an exact SAD source and a bounded one give the same result and the
+/// same stats.
+fn full_pel_search(
+    center: MotionVector,
+    range: i16,
+    stats: &mut SearchStats,
+    mut sad_at: impl FnMut(MotionVector, u64) -> u64,
+) -> SearchResult {
+    let seed_mv = clamp_mv(center);
+    let mut best = SearchResult {
+        mv: seed_mv,
+        sad: sad_at(seed_mv, u64::MAX),
     };
     let mut best_dist =
         (seed_mv.x as i32 - center.x as i32).abs() + (seed_mv.y as i32 - center.y as i32).abs();
@@ -116,20 +156,8 @@ pub fn motion_search_stats(
             if dx == 0 && dy == 0 {
                 continue;
             }
-            let mv = MotionVector::new(
-                (center.x + dx).clamp(-MV_LIMIT, MV_LIMIT),
-                (center.y + dy).clamp(-MV_LIMIT, MV_LIMIT),
-            );
-            let sad = cur.sad_bounded(
-                x,
-                y,
-                w,
-                h,
-                reference,
-                x as isize + mv.x as isize,
-                y as isize + mv.y as isize,
-                best.sad,
-            );
+            let mv = clamp_mv(MotionVector::new(center.x + dx, center.y + dy));
+            let sad = sad_at(mv, best.sad);
             let dist =
                 (mv.x as i32 - center.x as i32).abs() + (mv.y as i32 - center.y as i32).abs();
             if sad < best.sad || (sad == best.sad && dist < best_dist) {
@@ -140,6 +168,8 @@ pub fn motion_search_stats(
             }
         }
     }
+    let side = 2 * range as u64 + 1;
+    stats.fullpel_cands += side * side;
     best
 }
 
@@ -559,6 +589,22 @@ pub fn search_sub_stats(
     }
     let full_center = MotionVector::new(center.x / 2, center.y / 2);
     let full = motion_search_stats(cur, reference, x, y, w, h, full_center, range, stats);
+    refine_halfpel(cur, reference, x, y, w, h, full, stats)
+}
+
+/// The ±1 half-pel refinement around a full-pel winner; returns a
+/// half-pel vector.
+#[allow(clippy::too_many_arguments)]
+fn refine_halfpel(
+    cur: &Plane,
+    reference: &Plane,
+    x: usize,
+    y: usize,
+    w: usize,
+    h: usize,
+    full: SearchResult,
+    stats: &mut SearchStats,
+) -> SearchResult {
     let base = MotionVector::new(full.mv.x * 2, full.mv.y * 2);
     let mut best = SearchResult {
         mv: base,
@@ -569,10 +615,7 @@ pub fn search_sub_stats(
             if dx == 0 && dy == 0 {
                 continue;
             }
-            let mv = MotionVector::new(
-                (base.x + dx).clamp(-MV_LIMIT, MV_LIMIT),
-                (base.y + dy).clamp(-MV_LIMIT, MV_LIMIT),
-            );
+            let mv = clamp_mv(MotionVector::new(base.x + dx, base.y + dy));
             let sad = sad_halfpel_bounded(cur, x, y, w, h, reference, mv, best.sad);
             if sad < best.sad {
                 best = SearchResult { mv, sad };
@@ -581,7 +624,149 @@ pub fn search_sub_stats(
             }
         }
     }
+    stats.halfpel_cands += 8;
     best
+}
+
+/// Side of a [`CellSadMap`]'s displacement window: ±2 full pels.
+const MAP_SIDE: usize = 5;
+/// Side of the reference window a map reads: a macroblock plus the
+/// displacement margin.
+const MAP_WINDOW: usize = MB_SIZE + MAP_SIDE - 1;
+/// 4x4 cells per macroblock row.
+const CELLS_PER_ROW: usize = MB_SIZE / 4;
+
+/// The SADs of one macroblock's sixteen 4x4 cells at each of the 25
+/// full-pel displacements within ±2 of a shared search centre.
+///
+/// Mode decision runs many range-2 searches around the same centre — every
+/// partition block and sub-partition trial, forward and backward — and
+/// each block's SAD at a displacement is the sum of its cells there. So
+/// one map per macroblock and reference replaces all of those reference
+/// reads: [`CellSadMap::search`] sums cells instead of pixels and returns
+/// exactly what [`search_sub_stats`] with range 2 returns (same vector, same
+/// SAD, same early-exit count — pinned by the kernel-equivalence property
+/// tests). Half-pel refinement still reads the reference per block.
+#[derive(Clone, Debug)]
+pub struct CellSadMap<'a> {
+    cur: &'a Plane,
+    reference: &'a Plane,
+    /// Macroblock origin in the source plane.
+    x: usize,
+    y: usize,
+    /// Full-pel centre of the searches; distances are measured from it.
+    center: MotionVector,
+    /// `clamp(center)`: every candidate `clamp(center + d)` lies within ±2
+    /// of it (clamping is monotone and 1-Lipschitz), so it is the window's
+    /// middle.
+    origin: MotionVector,
+    subpel: bool,
+    /// `sads[(oy + 2) * 5 + (ox + 2)][cy * 4 + cx]`: cell `(cx, cy)` at
+    /// displacement `origin + (ox, oy)`.
+    sads: [[u32; MB_SIZE]; MAP_SIDE * MAP_SIDE],
+}
+
+impl<'a> CellSadMap<'a> {
+    /// Builds the map for the 16x16 block of `cur` at `(x, y)` against
+    /// `reference`, around `center` — given like [`search_sub`]'s centre, in
+    /// half-pel units when `subpel` is set. Reference pixels outside the
+    /// plane are clamped exactly as [`Plane::sad`] clamps them.
+    #[allow(clippy::too_many_arguments)]
+    pub fn build(
+        cur: &'a Plane,
+        reference: &'a Plane,
+        x: usize,
+        y: usize,
+        center: MotionVector,
+        subpel: bool,
+        stats: &mut SearchStats,
+    ) -> CellSadMap<'a> {
+        let center = if subpel {
+            MotionVector::new(center.x / 2, center.y / 2)
+        } else {
+            center
+        };
+        let origin = clamp_mv(center);
+        let mut src = [0u8; MAX_BLOCK_PIXELS];
+        cur.copy_block(x as isize, y as isize, MB_SIZE, MB_SIZE, &mut src);
+        let margin = (MAP_SIDE / 2) as isize;
+        let mut window = [0u8; MAP_WINDOW * MAP_WINDOW];
+        reference.copy_block(
+            x as isize + origin.x as isize - margin,
+            y as isize + origin.y as isize - margin,
+            MAP_WINDOW,
+            MAP_WINDOW,
+            &mut window,
+        );
+        let mut sads = [[0u32; MB_SIZE]; MAP_SIDE * MAP_SIDE];
+        for (d, cells) in sads.iter_mut().enumerate() {
+            let (ox, oy) = (d % MAP_SIDE, d / MAP_SIDE);
+            for row in 0..MB_SIZE {
+                vapp_media::kernels::add_quad_sads(
+                    &src[row * MB_SIZE..][..MB_SIZE],
+                    &window[(row + oy) * MAP_WINDOW + ox..][..MB_SIZE],
+                    &mut cells[row / 4 * CELLS_PER_ROW..][..CELLS_PER_ROW],
+                );
+            }
+        }
+        stats.map_builds += 1;
+        CellSadMap {
+            cur,
+            reference,
+            x,
+            y,
+            center,
+            origin,
+            subpel,
+            sads,
+        }
+    }
+
+    /// Range-2 search for the block `g` of the mapped macroblock: the
+    /// full-pel stage sums cells from the map, then (with `subpel`) the
+    /// half-pel refinement reads the reference as usual. Returns exactly
+    /// what `search_sub_stats(cur, reference, x + g.dx, y + g.dy, g.w, g.h,
+    /// center, 2, subpel, stats)` returns, and counts the same stats.
+    ///
+    /// # Panics
+    ///
+    /// Panics (in debug builds) unless `g` lies on the 4-pixel cell grid
+    /// inside the macroblock.
+    pub fn search(&self, g: BlockGeom, stats: &mut SearchStats) -> SearchResult {
+        debug_assert!(
+            [g.dx, g.dy, g.w, g.h].iter().all(|v| v.is_multiple_of(4))
+                && g.dx + g.w <= MB_SIZE
+                && g.dy + g.h <= MB_SIZE,
+            "block {g:?} is not on the cell grid"
+        );
+        let margin = (MAP_SIDE / 2) as i16;
+        let full = full_pel_search(self.center, margin, stats, |mv, _| {
+            let ox = (mv.x - self.origin.x + margin) as usize;
+            let oy = (mv.y - self.origin.y + margin) as usize;
+            let cells = &self.sads[oy * MAP_SIDE + ox];
+            (g.dy / 4..(g.dy + g.h) / 4)
+                .map(|cy| {
+                    cells[cy * CELLS_PER_ROW..][g.dx / 4..(g.dx + g.w) / 4]
+                        .iter()
+                        .map(|&c| u64::from(c))
+                        .sum::<u64>()
+                })
+                .sum()
+        });
+        if !self.subpel {
+            return full;
+        }
+        refine_halfpel(
+            self.cur,
+            self.reference,
+            self.x + g.dx,
+            self.y + g.dy,
+            g.w,
+            g.h,
+            full,
+            stats,
+        )
+    }
 }
 
 /// Bi-prediction: rounds-to-nearest average of forward and backward

@@ -1,13 +1,17 @@
 //! Property tests pinning the word-parallel codec kernels bit-identical to
 //! their scalar references — the scalar paths stay the specification the
 //! SWAR (and optional intrinsic) kernels must reproduce exactly, across
-//! random blocks, non-multiple-of-8 widths and border geometries.
+//! random blocks, non-multiple-of-8 widths and border geometries. The
+//! per-block range-2 motion search likewise stays the specification for
+//! the cell SAD map the encoder sums its partition searches from.
 
 use vapp_check::{RngExt, StdRng};
-use vapp_codec::inter::{mc_block_halfpel_into, MAX_BLOCK_PIXELS};
+use vapp_codec::inter::{
+    mc_block_halfpel_into, search_sub_stats, CellSadMap, SearchStats, MAX_BLOCK_PIXELS, MV_LIMIT,
+};
 use vapp_codec::quant::{dequantize, forward_quant, quantize, MAX_QP};
 use vapp_codec::transform::{forward4x4, inverse4x4, Block4x4};
-use vapp_codec::types::MotionVector;
+use vapp_codec::types::{BlockGeom, MotionVector};
 use vapp_media::Plane;
 
 fn random_plane(rng: &mut StdRng, w: usize, h: usize) -> Plane {
@@ -178,6 +182,75 @@ fn bi_average_into_matches_scalar_rounding() {
         for i in 0..n {
             let want = ((a[i] as u16 + b[i] as u16 + 1) >> 1) as u8;
             assert_eq!(got[i], want, "i={i} a={} b={}", a[i], b[i]);
+        }
+    });
+}
+
+/// A search centre in the unit `subpel` implies: near the block, far out
+/// of the plane, or at the motion-vector limit (where candidates clamp).
+fn random_center(rng: &mut StdRng, subpel: bool) -> MotionVector {
+    let scale = if subpel { 2 } else { 1 };
+    let mut component = || -> i16 {
+        match rng.random_range(0..4u32) {
+            0 | 1 => rng.random_range(0..25) as i16 - 12,
+            2 => (rng.random_range(0..200) as i16 - 100) * scale,
+            _ => {
+                let edge = MV_LIMIT * scale + rng.random_range(0..7) as i16 - 3;
+                if rng.random::<bool>() {
+                    edge
+                } else {
+                    -edge
+                }
+            }
+        }
+    };
+    MotionVector::new(component(), component())
+}
+
+#[test]
+fn cell_sad_map_search_matches_per_block_range_two_search() {
+    vapp_check::check("cell_sad_map_search", 96, |rng| {
+        let pw = rng.random_range(16..72);
+        let ph = rng.random_range(16..72);
+        let cur = random_plane(rng, pw, ph);
+        let refp = random_plane(rng, pw, ph);
+        // Macroblock anywhere in the plane, borders included.
+        let x = rng.random_range(0..=pw - 16);
+        let y = rng.random_range(0..=ph - 16);
+        let subpel = rng.random::<bool>();
+        let center = random_center(rng, subpel);
+        let mut map_stats = SearchStats::default();
+        let map = CellSadMap::build(&cur, &refp, x, y, center, subpel, &mut map_stats);
+        assert_eq!(map_stats.map_builds, 1);
+        // Several blocks against one map, as mode decision uses it.
+        for _ in 0..6 {
+            let w = 4 * rng.random_range(1..=4usize);
+            let h = 4 * rng.random_range(1..=4usize);
+            let g = BlockGeom {
+                dx: 4 * rng.random_range(0..=(16 - w) / 4),
+                dy: 4 * rng.random_range(0..=(16 - h) / 4),
+                w,
+                h,
+            };
+            let mut want_stats = SearchStats::default();
+            let want = search_sub_stats(
+                &cur,
+                &refp,
+                x + g.dx,
+                y + g.dy,
+                w,
+                h,
+                center,
+                2,
+                subpel,
+                &mut want_stats,
+            );
+            let mut got_stats = SearchStats::default();
+            let got = map.search(g, &mut got_stats);
+            let what =
+                format!("plane {pw}x{ph} mb ({x},{y}) {g:?} center {center:?} subpel {subpel}");
+            assert_eq!(got, want, "{what}: mv/sad differ");
+            assert_eq!(got_stats, want_stats, "{what}: stats differ");
         }
     });
 }

@@ -141,7 +141,11 @@ impl Video {
         let mut h = 0usize;
         let mut fps = 25.0f64;
         for tok in header.split_ascii_whitespace().skip(1) {
-            let (key, val) = tok.split_at(1);
+            // Every parameter is one ASCII letter followed by its value.
+            let Some(key) = tok.get(..1) else {
+                return Err(ParseRawError::InvalidHeader);
+            };
+            let val = &tok[1..];
             match key {
                 "W" => w = val.parse().map_err(|_| ParseRawError::InvalidHeader)?,
                 "H" => h = val.parse().map_err(|_| ParseRawError::InvalidHeader)?,
@@ -169,8 +173,12 @@ impl Video {
         if w == 0 || h == 0 {
             return Err(ParseRawError::InvalidHeader);
         }
-        let luma = w * h;
-        let chroma = (w / 2) * (h / 2) * 2;
+        // Sizes from the header are untrusted: overflow is an invalid header.
+        let luma = w.checked_mul(h).ok_or(ParseRawError::InvalidHeader)?;
+        let frame_len = ((w / 2) * (h / 2))
+            .checked_mul(2)
+            .and_then(|chroma| chroma.checked_add(luma))
+            .ok_or(ParseRawError::InvalidHeader)?;
         let mut video = Video::new(w, h, fps);
         let mut pos = header_end + 1;
         while pos < bytes.len() {
@@ -183,12 +191,12 @@ impl Video {
                 return Err(ParseRawError::InvalidHeader);
             }
             pos += line_end + 1;
-            if pos + luma + chroma > bytes.len() {
+            if bytes.len() - pos < frame_len {
                 return Err(ParseRawError::Truncated);
             }
             let plane = Plane::from_data(w, h, bytes[pos..pos + luma].to_vec());
             video.push(Frame::from_plane(plane));
-            pos += luma + chroma;
+            pos += frame_len;
         }
         if video.is_empty() {
             return Err(ParseRawError::Truncated);
@@ -267,6 +275,39 @@ mod tests {
         assert_eq!(
             Video::from_y4m_bytes(b"YUV4MPEG2 W8 H6 F25:1 C444\nFRAME\n"),
             Err(ParseRawError::InvalidHeader)
+        );
+    }
+
+    #[test]
+    fn y4m_multibyte_header_token_is_invalid_not_a_panic() {
+        // The first token byte starts a two-byte UTF-8 character, so there
+        // is no one-byte key to split off.
+        assert_eq!(
+            Video::from_y4m_bytes("YUV4MPEG2 W8 H6 éx\nFRAME\n".as_bytes()),
+            Err(ParseRawError::InvalidHeader)
+        );
+        assert_eq!(
+            Video::from_y4m_bytes("YUV4MPEG2 \u{1F600} W8 H6\n".as_bytes()),
+            Err(ParseRawError::InvalidHeader)
+        );
+    }
+
+    #[test]
+    fn y4m_huge_dimensions_are_typed_errors_not_overflow() {
+        // W * H overflows.
+        assert_eq!(
+            Video::from_y4m_bytes(b"YUV4MPEG2 W4294967296 H4294967296\nFRAME\n"),
+            Err(ParseRawError::InvalidHeader)
+        );
+        // W * H fits but the frame size plus the stream position does not.
+        assert_eq!(
+            Video::from_y4m_bytes(b"YUV4MPEG2 W18446744073709551615 H1\nFRAME\n"),
+            Err(ParseRawError::Truncated)
+        );
+        // Large but representable dimensions over a short buffer.
+        assert_eq!(
+            Video::from_y4m_bytes(b"YUV4MPEG2 W100000 H100000\nFRAME\nabc"),
+            Err(ParseRawError::Truncated)
         );
     }
 

@@ -114,6 +114,39 @@ pub(crate) fn sad_slices_swar(a: &[u8], b: &[u8]) -> u64 {
     total
 }
 
+/// Adds the SAD of each 4-pixel group of two equal-length rows to `out`:
+/// `out[i] += SAD(a[4i..4i + 4], b[4i..4i + 4])`.
+///
+/// The per-group form of [`sad_slices`], for cell-granular SAD maps: the
+/// same 16-bit lane differences, folded per pair of lanes instead of across
+/// the whole word (lane `k` holds the differences of bytes `2k` and
+/// `2k + 1`, at most 510, so a two-lane fold cannot carry).
+///
+/// # Panics
+///
+/// Panics if `a.len()` is not a multiple of 4 or the lengths do not match
+/// `b` and `4 * out.len()`.
+#[inline]
+pub fn add_quad_sads(a: &[u8], b: &[u8], out: &mut [u32]) {
+    assert!(
+        a.len() == b.len() && a.len() == out.len() * 4,
+        "quad SAD length mismatch"
+    );
+    let pairs = out.len() / 2;
+    for i in 0..pairs {
+        let (x, y) = (load8(&a[i * 8..][..8]), load8(&b[i * 8..][..8]));
+        let lanes =
+            abs_diff_lanes(x & EVEN, y & EVEN) + abs_diff_lanes((x >> 8) & EVEN, (y >> 8) & EVEN);
+        let fold = lanes + (lanes >> 16);
+        out[2 * i] += (fold & 0xFFFF) as u32;
+        out[2 * i + 1] += ((fold >> 32) & 0xFFFF) as u32;
+    }
+    if out.len() % 2 == 1 {
+        let i = pairs * 8;
+        out[pairs * 2] += sad8(load4(&a[i..i + 4]), load4(&b[i..i + 4])) as u32;
+    }
+}
+
 /// Per-byte rounding-up average `(a + b + 1) >> 1` of two equal-length rows.
 ///
 /// Uses the carry-free identity `avg_up(a, b) = (a | b) - ((a ^ b) >> 1)`
@@ -285,6 +318,25 @@ mod tests {
                 assert_eq!(sad_slices_swar(&a, &b), sad_scalar(&a, &b), "len {len}");
             }
         }
+    }
+
+    #[test]
+    fn quad_sads_match_scalar_groups() {
+        for quads in 0..7 {
+            for seed in 0..4u64 {
+                let a = pattern(seed * 2 + 11, quads * 4);
+                let b = pattern(seed * 2 + 12, quads * 4);
+                let mut got = vec![7u32; quads];
+                add_quad_sads(&a, &b, &mut got);
+                for q in 0..quads {
+                    let want = 7 + sad_scalar(&a[q * 4..][..4], &b[q * 4..][..4]) as u32;
+                    assert_eq!(got[q], want, "quads {quads} group {q}");
+                }
+            }
+        }
+        let mut out = [0u32; 4];
+        add_quad_sads(&[255; 16], &[0; 16], &mut out);
+        assert_eq!(out, [1020; 4]);
     }
 
     #[test]

@@ -316,10 +316,15 @@ impl Registry {
     }
 
     /// Folds one completed span into the call-path profile under its
-    /// full `>`-joined path.
+    /// full `>`-joined path. The path is copied only the first time it is
+    /// seen: spans close on every worker under this lock, so the common
+    /// case is a lookup, not an allocation.
     pub fn record_path(&self, path: &str, dur_ns: u64) {
         let mut map = lock_recover(&self.profile);
-        let stats = map.entry(path.to_string()).or_default();
+        if !map.contains_key(path) {
+            map.insert(path.to_string(), PathStats::default());
+        }
+        let stats = map.get_mut(path).expect("path inserted above");
         stats.count += 1;
         stats.total_ns += dur_ns;
         stats.min_ns = stats.min_ns.min(dur_ns);

@@ -1,7 +1,9 @@
 //! Deterministic data parallelism on `std::thread::scope`.
 //!
 //! Every hot loop in this workspace fans out through [`par_map`] /
-//! [`par_chunks`]: order-preserving, panic-propagating, and — because the
+//! [`par_chunks`], or — for grids whose cells read their left, above and
+//! above-right neighbours, like macroblock mode decision — through
+//! [`par_wavefront`]: order-preserving, panic-propagating, and — because the
 //! units they run are seeded with sub-seeds derived *up front* — the
 //! results are a pure function of the inputs, byte-identical at any
 //! worker count. Parallelism here changes wall-clock only, never output;
@@ -54,7 +56,7 @@
 use std::cell::Cell;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::{Condvar, Mutex, OnceLock, PoisonError};
 
 thread_local! {
     /// Scoped override installed by [`with_threads`].
@@ -108,15 +110,6 @@ pub fn with_threads<T>(n: usize, f: impl FnOnce() -> T) -> T {
     f()
 }
 
-/// Whether a parallel region opened here would actually fan out — false
-/// with one effective worker or from inside a worker (nested regions run
-/// inline). Callers use this to gate *speculative* precomputation that
-/// only pays for itself when spread across workers; gating it never
-/// changes results, only where the same values get computed.
-pub fn would_parallelize() -> bool {
-    effective_threads() > 1 && !IN_WORKER.with(Cell::get)
-}
-
 /// The worker count a parallel region opened here would use.
 pub fn effective_threads() -> usize {
     if let Some(n) = SCOPED_THREADS.with(Cell::get) {
@@ -150,72 +143,33 @@ where
             .collect();
     }
 
-    let reg = vapp_obs::current();
-    // Captured on the caller so worker-side spans fold into the spawning
-    // span's subtree (profile paths thread-count invariant).
-    let prefix = vapp_obs::span::current_path_parts();
     let slots: Vec<Mutex<Option<T>>> = items.into_iter().map(|x| Mutex::new(Some(x))).collect();
     let results: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
     let cursor = AtomicUsize::new(0);
     let poisoned = AtomicBool::new(false);
-    let panic_payload: Mutex<Option<Box<dyn std::any::Any + Send>>> = Mutex::new(None);
+    let panic_payload: PanicSlot = Mutex::new(None);
 
-    std::thread::scope(|s| {
-        for w in 0..workers {
-            let reg = reg.clone();
-            let prefix = &prefix;
-            let slots = &slots;
-            let results = &results;
-            let cursor = &cursor;
-            let poisoned = &poisoned;
-            let panic_payload = &panic_payload;
-            let f = &f;
-            s.spawn(move || {
-                vapp_obs::registry::with_registry(reg, || {
-                    vapp_obs::span::with_path_prefix(prefix, || {
-                        IN_WORKER.with(|c| c.set(true));
-                        let region_start = std::time::Instant::now();
-                        let mut tasks: u64 = 0;
-                        let mut busy_ns: u64 = 0;
-                        loop {
-                            if poisoned.load(Ordering::Relaxed) {
-                                break;
-                            }
-                            let i = cursor.fetch_add(1, Ordering::Relaxed);
-                            if i >= slots.len() {
-                                break;
-                            }
-                            let item = slots[i]
-                                .lock()
-                                .expect("item slot lock")
-                                .take()
-                                .expect("each item is claimed exactly once");
-                            tasks += 1;
-                            let unit_start = std::time::Instant::now();
-                            let outcome = catch_unwind(AssertUnwindSafe(|| f(i, item)));
-                            busy_ns =
-                                busy_ns.saturating_add(unit_start.elapsed().as_nanos() as u64);
-                            match outcome {
-                                Ok(r) => *results[i].lock().expect("result slot lock") = Some(r),
-                                Err(p) => {
-                                    poisoned.store(true, Ordering::Relaxed);
-                                    let mut first = panic_payload.lock().expect("panic slot lock");
-                                    if first.is_none() {
-                                        *first = Some(p);
-                                    }
-                                    break;
-                                }
-                            }
-                        }
-                        let wall_ns = region_start.elapsed().as_nanos() as u64;
-                        let r = vapp_obs::current();
-                        r.counter(&format!("par.worker.{w}.tasks")).add(tasks);
-                        r.counter(&format!("par.worker.{w}.busy_ns")).add(busy_ns);
-                        r.counter(&format!("par.worker.{w}.idle_ns"))
-                            .add(wall_ns.saturating_sub(busy_ns));
-                    });
-                });
-            });
+    run_workers(workers, |util| loop {
+        if poisoned.load(Ordering::Relaxed) {
+            break;
+        }
+        let i = cursor.fetch_add(1, Ordering::Relaxed);
+        if i >= slots.len() {
+            break;
+        }
+        let item = slots[i]
+            .lock()
+            .expect("item slot lock")
+            .take()
+            .expect("each item is claimed exactly once");
+        util.tasks += 1;
+        match util.timed(|| catch_unwind(AssertUnwindSafe(|| f(i, item)))) {
+            Ok(r) => *results[i].lock().expect("result slot lock") = Some(r),
+            Err(p) => {
+                poisoned.store(true, Ordering::Relaxed);
+                keep_first_panic(&panic_payload, p);
+                break;
+            }
         }
     });
 
@@ -229,6 +183,203 @@ where
                 .expect("result slot lock")
                 .expect("every unit produced a result")
         })
+        .collect()
+}
+
+/// One worker's utilization tally inside a fanned-out region.
+#[derive(Default)]
+struct Utilization {
+    tasks: u64,
+    busy_ns: u64,
+}
+
+impl Utilization {
+    /// Runs `f`, adding its wall time to the busy total.
+    fn timed<T>(&mut self, f: impl FnOnce() -> T) -> T {
+        let start = std::time::Instant::now();
+        let out = f();
+        self.busy_ns = self
+            .busy_ns
+            .saturating_add(start.elapsed().as_nanos() as u64);
+        out
+    }
+}
+
+/// Spawns `workers` scoped threads running `body`, each with the caller's
+/// obs registry and span-path prefix installed and nested regions forced
+/// inline, then records the `par.worker.<w>.*` utilization counters from
+/// the tally `body` kept.
+fn run_workers<B>(workers: usize, body: B)
+where
+    B: Fn(&mut Utilization) + Sync,
+{
+    let reg = vapp_obs::current();
+    // Captured on the caller so worker-side spans fold into the spawning
+    // span's subtree (profile paths thread-count invariant).
+    let prefix = vapp_obs::span::current_path_parts();
+    std::thread::scope(|s| {
+        for w in 0..workers {
+            let reg = reg.clone();
+            let prefix = &prefix;
+            let body = &body;
+            s.spawn(move || {
+                vapp_obs::registry::with_registry(reg, || {
+                    vapp_obs::span::with_path_prefix(prefix, || {
+                        IN_WORKER.with(|c| c.set(true));
+                        let region_start = std::time::Instant::now();
+                        let mut util = Utilization::default();
+                        body(&mut util);
+                        let wall_ns = region_start.elapsed().as_nanos() as u64;
+                        let r = vapp_obs::current();
+                        r.counter(&format!("par.worker.{w}.tasks")).add(util.tasks);
+                        r.counter(&format!("par.worker.{w}.busy_ns"))
+                            .add(util.busy_ns);
+                        r.counter(&format!("par.worker.{w}.idle_ns"))
+                            .add(wall_ns.saturating_sub(util.busy_ns));
+                    });
+                });
+            });
+        }
+    });
+}
+
+/// The first panic payload raised inside a region.
+type PanicSlot = Mutex<Option<Box<dyn std::any::Any + Send>>>;
+
+/// Stores a unit's panic payload unless an earlier one is already kept.
+fn keep_first_panic(slot: &PanicSlot, p: Box<dyn std::any::Any + Send>) {
+    let mut first = slot.lock().expect("panic slot lock");
+    if first.is_none() {
+        *first = Some(p);
+    }
+}
+
+/// The finished cells of a [`par_wavefront`] grid, as seen from inside
+/// the cell closure.
+pub struct WaveCells<'a, R> {
+    cells: &'a [OnceLock<R>],
+    cols: usize,
+}
+
+impl<R> WaveCells<'_, R> {
+    /// The result of cell `(row, col)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the cell has not finished. Only the cells the wavefront
+    /// order guarantees (see [`par_wavefront`]) may be read.
+    pub fn get(&self, row: usize, col: usize) -> &R {
+        self.cells[row * self.cols + col]
+            .get()
+            .expect("wavefront dependency read before it finished")
+    }
+}
+
+/// Computes `f` for every cell of a `rows x cols` grid in wavefront order,
+/// returning the results row-major.
+///
+/// When `f(row, col, done)` runs, `done` holds every cell to its left in
+/// the same row and every cell of the earlier rows up to column `col + 1`
+/// — the left, above and above-right neighbours of a macroblock, and
+/// everything before them. That is the dependency of H.264-style motion
+/// vector prediction, so a grid whose cells read only those neighbours
+/// gets the same results as a raster-order loop, at any worker count.
+///
+/// Each worker claims whole rows in order and walks its row left to
+/// right, so rows run two cells apart. A worker whose row has caught up
+/// with the row above *blocks* on a condition variable until that row
+/// moves; it never spins, so oversubscribed runs (more workers than
+/// cores) lose no time to waiting threads. The row a worker waits on was
+/// claimed earlier and never waits on a later row, so the order cannot
+/// deadlock. With one effective worker (or inside another region) the
+/// grid runs inline in raster order.
+///
+/// A panic in any cell stops the grid: blocked workers are woken and the
+/// first payload is re-raised on the caller.
+pub fn par_wavefront<R, F>(rows: usize, cols: usize, f: F) -> Vec<R>
+where
+    R: Send + Sync,
+    F: Fn(usize, usize, &WaveCells<'_, R>) -> R + Sync,
+{
+    let cells: Vec<OnceLock<R>> = (0..rows * cols).map(|_| OnceLock::new()).collect();
+    let done = WaveCells {
+        cells: &cells,
+        cols,
+    };
+    let finish = |row: usize, col: usize, value: R| {
+        if cells[row * cols + col].set(value).is_err() {
+            unreachable!("each cell is computed exactly once");
+        }
+    };
+    let workers = effective_threads().min(rows);
+    if workers <= 1 || IN_WORKER.with(Cell::get) {
+        for row in 0..rows {
+            for col in 0..cols {
+                finish(row, col, f(row, col, &done));
+            }
+        }
+    } else {
+        // `progress[r]` counts the finished cells of row r. Its Release
+        // store pairs with the waiters' Acquire loads (the cells themselves
+        // are published by their `OnceLock`s). Writers bump it and then
+        // notify under `moved`'s lock; waiters re-check it under the same
+        // lock, so no wake-up is lost between check and wait. The lock
+        // guards no data, so a poisoned lock is recovered.
+        let progress: Vec<AtomicUsize> = (0..rows).map(|_| AtomicUsize::new(0)).collect();
+        let moved = (Mutex::new(()), Condvar::new());
+        let lock = || moved.0.lock().unwrap_or_else(PoisonError::into_inner);
+        let cursor = AtomicUsize::new(0);
+        let poisoned = AtomicBool::new(false);
+        let panic_payload: PanicSlot = Mutex::new(None);
+
+        run_workers(workers, |util| 'rows: loop {
+            let row = cursor.fetch_add(1, Ordering::Relaxed);
+            if row >= rows || poisoned.load(Ordering::Relaxed) {
+                break;
+            }
+            util.tasks += 1;
+            for col in 0..cols {
+                if row > 0 {
+                    let need = (col + 2).min(cols);
+                    let above = &progress[row - 1];
+                    if above.load(Ordering::Acquire) < need {
+                        let mut guard = lock();
+                        while above.load(Ordering::Acquire) < need
+                            && !poisoned.load(Ordering::Acquire)
+                        {
+                            guard = moved.1.wait(guard).unwrap_or_else(PoisonError::into_inner);
+                        }
+                    }
+                    if poisoned.load(Ordering::Acquire) {
+                        break 'rows;
+                    }
+                }
+                let outcome = util.timed(|| catch_unwind(AssertUnwindSafe(|| f(row, col, &done))));
+                match outcome {
+                    Ok(value) => {
+                        finish(row, col, value);
+                        progress[row].store(col + 1, Ordering::Release);
+                    }
+                    Err(p) => {
+                        keep_first_panic(&panic_payload, p);
+                        poisoned.store(true, Ordering::Release);
+                    }
+                }
+                let _guard = lock();
+                moved.1.notify_all();
+                if poisoned.load(Ordering::Acquire) {
+                    break 'rows;
+                }
+            }
+        });
+
+        if let Some(p) = panic_payload.into_inner().expect("panic slot lock") {
+            resume_unwind(p);
+        }
+    }
+    cells
+        .into_iter()
+        .map(|c| c.into_inner().expect("every cell finished"))
         .collect()
 }
 
@@ -401,6 +552,94 @@ mod tests {
         });
         let expect: Vec<u64> = (0..8).map(|o| (0..8).map(|i| o * 10 + i).sum()).collect();
         assert_eq!(got, expect);
+    }
+
+    /// A cell value that reads all three wavefront neighbours, so any
+    /// ordering bug changes the result (or panics on an unfinished read).
+    fn wave_cell(row: usize, col: usize, cols: usize, done: &WaveCells<'_, u64>) -> u64 {
+        let mut v = (row * 131 + col * 7) as u64;
+        if col > 0 {
+            v = v.wrapping_mul(31).wrapping_add(*done.get(row, col - 1));
+        }
+        if row > 0 {
+            v = v.wrapping_mul(17).wrapping_add(*done.get(row - 1, col));
+            if col + 1 < cols {
+                v = v.wrapping_mul(13).wrapping_add(*done.get(row - 1, col + 1));
+            }
+        }
+        v
+    }
+
+    #[test]
+    fn wavefront_matches_raster_order_at_any_thread_count() {
+        for (rows, cols) in [(1, 1), (1, 9), (9, 1), (7, 5), (12, 3)] {
+            let expect = with_threads(1, || {
+                par_wavefront(rows, cols, |r, c, d| wave_cell(r, c, cols, d))
+            });
+            assert_eq!(expect.len(), rows * cols);
+            for threads in [2, 3, 8] {
+                let got = with_threads(threads, || {
+                    par_wavefront(rows, cols, |r, c, d| wave_cell(r, c, cols, d))
+                });
+                assert_eq!(got, expect, "{rows}x{cols} at {threads} threads");
+            }
+        }
+    }
+
+    #[test]
+    fn wavefront_panic_wakes_blocked_rows_and_propagates() {
+        // Row 1's worker finishes (1, 1) and then must wait for the last
+        // cell of row 0, which panics only once (1, 1) is done: the panic
+        // has to wake (or pre-empt) that waiter, or the region deadlocks.
+        let (rows, cols) = (6, 4);
+        let row1_waiting = AtomicBool::new(false);
+        let caught = std::panic::catch_unwind(AssertUnwindSafe(|| {
+            with_threads(4, || {
+                par_wavefront(rows, cols, |r, c, _| {
+                    if (r, c) == (1, cols - 3) {
+                        row1_waiting.store(true, Ordering::SeqCst);
+                    }
+                    if (r, c) == (0, cols - 1) {
+                        while !row1_waiting.load(Ordering::SeqCst) {
+                            std::thread::yield_now();
+                        }
+                        panic!("cell zero-three exploded");
+                    }
+                    r * c
+                })
+            })
+        }));
+        let payload = caught.expect_err("must panic");
+        let msg = payload
+            .downcast_ref::<String>()
+            .cloned()
+            .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
+            .unwrap_or_default();
+        assert!(msg.contains("zero-three"), "payload lost: {msg}");
+    }
+
+    #[test]
+    fn wavefront_records_one_task_per_row() {
+        let reg = Arc::new(vapp_obs::Registry::new());
+        vapp_obs::registry::with_registry(reg.clone(), || {
+            let _outer = vapp_obs::span!("par.test.wave");
+            with_threads(3, || {
+                par_wavefront(5, 4, |_, _, _| {
+                    let _s = vapp_obs::span!("par.test.cell");
+                })
+            });
+        });
+        let snap = reg.snapshot();
+        let tasks: u64 = (0..3)
+            .map(|w| snap.counter(&format!("par.worker.{w}.tasks")))
+            .sum();
+        assert_eq!(tasks, 5, "every row claimed exactly once");
+        let cell = snap
+            .profile
+            .iter()
+            .find(|p| p.path == "par.test.wave>par.test.cell")
+            .expect("cell spans nest under the caller's open span");
+        assert_eq!(cell.count, 20);
     }
 
     #[test]
