@@ -1,9 +1,9 @@
 //! Codec throughput: encode and decode, CABAC vs CAVLC, plus the
 //! word-parallel inner-loop kernels (SAD, fused transform/quant, half-pel
-//! motion compensation) and an encoder frames-per-second figure.
+//! motion compensation).
 
 use std::hint::black_box;
-use vapp_bench::harness::{Criterion, Throughput};
+use vapp_bench::harness::Criterion;
 use vapp_bench::{criterion_group, criterion_main};
 use vapp_codec::inter::{mc_block_halfpel_into, MAX_BLOCK_PIXELS};
 use vapp_codec::quant::{dequant_inverse, forward_quant};
@@ -101,29 +101,5 @@ fn bench_codec_kernels(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_encoder_fps(c: &mut Criterion) {
-    let frames = 12usize;
-    let video = ClipSpec::new(112, 64, frames, SceneKind::MovingBlocks)
-        .seed(1)
-        .generate();
-    let mut group = c.benchmark_group("encoder_fps");
-    group.sample_size(10);
-    group.throughput(Throughput::Elements(frames as u64));
-
-    for entropy in [EntropyMode::Cabac, EntropyMode::Cavlc] {
-        let cfg = EncoderConfig {
-            entropy,
-            keyint: 12,
-            bframes: 2,
-            ..EncoderConfig::default()
-        };
-        group.bench_function(format!("encode_{entropy:?}"), |b| {
-            let encoder = Encoder::new(cfg);
-            b.iter(|| black_box(encoder.encode(black_box(&video))));
-        });
-    }
-    group.finish();
-}
-
-criterion_group!(benches, bench_codec, bench_codec_kernels, bench_encoder_fps);
+criterion_group!(benches, bench_codec, bench_codec_kernels);
 criterion_main!(benches);

@@ -23,6 +23,8 @@ pub enum ParseContainerError {
     Header(ParseHeaderError),
     /// A declared size is inconsistent with the buffer.
     InvalidLength,
+    /// A frame references a frame that is not coded before it.
+    InvalidReference,
 }
 
 impl std::fmt::Display for ParseContainerError {
@@ -31,6 +33,9 @@ impl std::fmt::Display for ParseContainerError {
             ParseContainerError::Truncated => write!(f, "container truncated"),
             ParseContainerError::Header(e) => write!(f, "bad embedded header: {e}"),
             ParseContainerError::InvalidLength => write!(f, "inconsistent length field"),
+            ParseContainerError::InvalidReference => {
+                write!(f, "frame references a frame not coded before it")
+            }
         }
     }
 }
@@ -91,6 +96,10 @@ impl EncodedVideo {
     /// Returns [`ParseContainerError`] for truncated or inconsistent
     /// buffers — this is the *precise* part of storage; corruption here is
     /// a hard error, unlike payload corruption which the decoder absorbs.
+    /// A `ref_fwd`/`ref_bwd` must name the `coding_index` of an earlier
+    /// frame in the container, below the frame count (the decoder's
+    /// reference buffer holds exactly those), or the parse fails with
+    /// [`ParseContainerError::InvalidReference`].
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, ParseContainerError> {
         let mut c = Cursor { bytes, pos: 0 };
         let sh_len = c.take_u32()? as usize;
@@ -111,6 +120,16 @@ impl EncodedVideo {
             let fh = FrameHeader::from_bytes(c.take(fh_len)?)?;
             let payload_len = c.take_u32()? as usize;
             metas.push((fh, payload_len));
+        }
+        let mut coded = vec![false; count];
+        for (fh, _) in &metas {
+            let is_coded = |r: u32| coded.get(r as usize) == Some(&true);
+            if !fh.ref_fwd.into_iter().chain(fh.ref_bwd).all(is_coded) {
+                return Err(ParseContainerError::InvalidReference);
+            }
+            if let Some(c) = coded.get_mut(fh.coding_index as usize) {
+                *c = true;
+            }
         }
         let mut frames = Vec::with_capacity(count);
         for (header, payload_len) in metas {
@@ -188,6 +207,32 @@ mod tests {
             EncodedVideo::from_bytes(&bytes),
             Err(ParseContainerError::InvalidLength)
         );
+    }
+
+    #[test]
+    fn references_to_uncoded_frames_are_rejected() {
+        let stream = sample_stream();
+        let p = stream
+            .frames
+            .iter()
+            .position(|f| f.header.ref_fwd.is_some())
+            .expect("the GOP has an inter frame");
+        let own = stream.frames[p].header.coding_index;
+        // Out of range, the frame itself, and a frame coded later.
+        for (fwd, bwd) in [
+            (Some(u32::MAX - 1), None),
+            (Some(own), None),
+            (stream.frames[p].header.ref_fwd, Some(own + 1)),
+        ] {
+            let mut bad = stream.clone();
+            bad.frames[p].header.ref_fwd = fwd;
+            bad.frames[p].header.ref_bwd = bwd;
+            assert_eq!(
+                EncodedVideo::from_bytes(&bad.to_bytes()),
+                Err(ParseContainerError::InvalidReference),
+                "ref_fwd {fwd:?} ref_bwd {bwd:?}"
+            );
+        }
     }
 
     #[test]

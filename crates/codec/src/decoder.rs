@@ -35,7 +35,7 @@ use vapp_media::{Frame, MbGrid, Plane, Video, MB_SIZE};
 ///
 /// Panics only if the *headers* are structurally inconsistent (e.g. a
 /// reference index pointing at an uncoded frame), which precise storage
-/// rules out.
+/// rules out and [`EncodedVideo::from_bytes`] rejects.
 pub fn decode(stream: &EncodedVideo) -> Video {
     let width = stream.header.width as usize;
     let height = stream.header.height as usize;

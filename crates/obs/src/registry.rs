@@ -53,24 +53,10 @@ impl Counter {
     }
 }
 
-/// Legacy power-of-two bucket count (pre-2.0 snapshot surface): one per
-/// possible bit length of a `u64` value, plus one for zero. Histograms
-/// are now backed by the finer [`crate::sketch`] buckets; these coarse
-/// bins remain exactly reconstructible from them.
-pub const HISTOGRAM_BUCKETS: usize = 65;
-
-/// Legacy bucket index of a value: its bit length (0 for 0). Kept as
-/// the documented meaning of a snapshot's `buckets` field.
-#[inline]
-pub fn bucket_of(value: u64) -> usize {
-    (u64::BITS - value.leading_zeros()) as usize
-}
-
 /// A histogram backed by the log-bucketed quantile sketch
 /// ([`crate::sketch`]): γ = 2^(1/32) geometric buckets recorded as
-/// atomics, plus exact count, sum, min and max. Snapshots carry both
-/// the sketch (for p50..p999) and the legacy power-of-two buckets
-/// derived from it.
+/// atomics, plus exact count, sum, min and max. Snapshots carry the
+/// sketch (for p50..p999).
 #[derive(Debug)]
 pub struct Histogram {
     buckets: Vec<AtomicU64>,
@@ -135,7 +121,6 @@ impl Histogram {
             sum: sketch.sum(),
             min: sketch.min(),
             max: sketch.max(),
-            buckets: sketch.legacy_pow2_buckets(),
             sketch,
         }
     }
@@ -424,13 +409,6 @@ mod tests {
 
     #[test]
     fn histogram_buckets_follow_bit_length() {
-        assert_eq!(bucket_of(0), 0);
-        assert_eq!(bucket_of(1), 1);
-        assert_eq!(bucket_of(2), 2);
-        assert_eq!(bucket_of(3), 2);
-        assert_eq!(bucket_of(4), 3);
-        assert_eq!(bucket_of(u64::MAX), 64);
-
         let reg = Registry::new();
         let h = reg.histogram("h");
         for v in [0u64, 1, 2, 3, 1000] {
@@ -442,9 +420,17 @@ mod tests {
         assert_eq!(hs.sum, 1006);
         assert_eq!(hs.min, 0);
         assert_eq!(hs.max, 1000);
-        // Legacy buckets: 0 -> b0, 1 -> b1, {2,3} -> b2, 1000 -> b10 —
-        // the sketch-backed histogram must reconstruct these exactly.
-        assert_eq!(hs.buckets, vec![(0, 1), (1, 1), (2, 2), (10, 1)]);
+        // Grouped by octave, the sketch buckets give the bit-length bins:
+        // 0 -> b0, 1 -> b1, {2,3} -> b2, 1000 -> b10.
+        let mut bit_lengths: Vec<(usize, u64)> = Vec::new();
+        for (idx, c) in hs.sketch.nonzero_buckets() {
+            let b = idx.div_ceil(sketch::SUB_BUCKETS);
+            match bit_lengths.last_mut() {
+                Some((last, n)) if *last == b => *n += c,
+                _ => bit_lengths.push((b, c)),
+            }
+        }
+        assert_eq!(bit_lengths, vec![(0, 1), (1, 1), (2, 2), (10, 1)]);
         assert_eq!(hs.sketch.count(), 5);
     }
 

@@ -3,14 +3,14 @@
 //! shape-discipline as the bench harness's `BENCH_*.json`) and a compact
 //! human-readable text rendering.
 //!
-//! JSON schema **2.0** (stable compatibility surface — `obs_report`
+//! JSON schema **3.0** (stable compatibility surface — `obs_report`
 //! diffs these files across runs and CI gates on them; see DESIGN.md §7
 //! for the field-by-field contract):
 //!
 //! ```json
 //! {
 //!   "obs": "vapp-obs",
-//!   "schema_version": "2.0",
+//!   "schema_version": "3.0",
 //!   "run": "store",
 //!   "epoch_base": "registry-creation",
 //!   "captured_ns": 48123456,
@@ -18,7 +18,6 @@
 //!   "histograms": {
 //!     "sim.flips.per_draw": {
 //!       "count": 30, "sum": 171, "min": 2, "max": 11,
-//!       "buckets": [[2, 7], [3, 14], [4, 9]],
 //!       "quantiles": {"p50": 5.7, "p90": 9.2, "p95": 10.1, "p99": 11.0, "p999": 11.0},
 //!       "sketch": [[34, 7], [52, 14], [71, 9]]
 //!     }
@@ -44,12 +43,10 @@
 //!
 //! All `*_ns` timestamps are **offsets from the registry epoch** (its
 //! creation instant — `epoch_base`); `captured_ns` is the snapshot
-//! instant on the same axis. Histogram `buckets` entries are the legacy
-//! `[bit_length, count]` pairs (bucket `b > 0` counts values in
-//! `[2^(b-1), 2^b - 1]`, bucket 0 exact zeros), reconstructed exactly
-//! from the finer `sketch` pairs (`[sketch_bucket_index, count]`, see
-//! [`crate::sketch`]); only non-empty buckets appear in either.
-//! `quantiles` are derived from the sketch at snapshot time.
+//! instant on the same axis. Histogram `sketch` entries are
+//! `[sketch_bucket_index, count]` pairs (see [`crate::sketch`]); only
+//! non-empty buckets appear. `quantiles` are derived from the sketch at
+//! snapshot time.
 //!
 //! [`Snapshot::from_json`] rejects documents whose `schema_version`
 //! major differs from [`SCHEMA_MAJOR`] — consumers must never silently
@@ -64,10 +61,10 @@ use crate::registry::SpanRecord;
 use crate::sketch::Sketch;
 
 /// Snapshot JSON schema version written by this crate.
-pub const SCHEMA_VERSION: &str = "2.0";
+pub const SCHEMA_VERSION: &str = "3.0";
 
 /// Major version accepted by [`Snapshot::from_json`].
-pub const SCHEMA_MAJOR: u64 = 2;
+pub const SCHEMA_MAJOR: u64 = 3;
 
 /// Snapshot of one histogram.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -82,8 +79,6 @@ pub struct HistogramSnapshot {
     pub min: u64,
     /// Largest recorded value (0 when empty).
     pub max: u64,
-    /// Legacy `(bit_length, count)` pairs for non-empty buckets.
-    pub buckets: Vec<(u32, u64)>,
     /// The full log-bucketed distribution (quantile queries, exact
     /// merging).
     pub sketch: Sketch,
@@ -204,11 +199,6 @@ impl Snapshot {
         out.push_str("  \"histograms\": {");
         for (i, h) in self.histograms.iter().enumerate() {
             let sep = if i == 0 { "\n" } else { ",\n" };
-            let buckets: Vec<String> = h
-                .buckets
-                .iter()
-                .map(|(b, c)| format!("[{b}, {c}]"))
-                .collect();
             let quantiles: Vec<String> = h
                 .sketch
                 .snapshot_quantiles()
@@ -222,13 +212,12 @@ impl Snapshot {
                 .collect();
             let _ = write!(
                 out,
-                "{sep}    \"{}\": {{\"count\": {}, \"sum\": {}, \"min\": {}, \"max\": {}, \"buckets\": [{}], \"quantiles\": {{{}}}, \"sketch\": [{}]}}",
+                "{sep}    \"{}\": {{\"count\": {}, \"sum\": {}, \"min\": {}, \"max\": {}, \"quantiles\": {{{}}}, \"sketch\": [{}]}}",
                 escape(&h.name),
                 h.count,
                 h.sum,
                 h.min,
                 h.max,
-                buckets.join(", "),
                 quantiles.join(", "),
                 sketch.join(", ")
             );
@@ -369,24 +358,20 @@ impl Snapshot {
                 let sum = need_u64(h, "sum", &ctx)?;
                 let min = need_u64(h, "min", &ctx)?;
                 let max = need_u64(h, "max", &ctx)?;
-                let pairs = |key: &str| -> Result<Vec<(u64, u64)>, String> {
-                    h.get(key)
-                        .and_then(Value::as_arr)
-                        .ok_or_else(|| format!("{ctx}: missing `{key}` array"))?
-                        .iter()
-                        .map(|p| {
-                            let p = p.as_arr().filter(|p| p.len() == 2);
-                            let b = p.and_then(|p| p[0].as_u64());
-                            let c = p.and_then(|p| p[1].as_u64());
-                            b.zip(c)
-                                .ok_or_else(|| format!("{ctx}: malformed `{key}` pair"))
-                        })
-                        .collect()
-                };
-                let sketch_pairs: Vec<(usize, u64)> = pairs("sketch")?
-                    .into_iter()
-                    .map(|(b, c)| (b as usize, c))
-                    .collect();
+                let sketch_pairs = h
+                    .get("sketch")
+                    .and_then(Value::as_arr)
+                    .ok_or_else(|| format!("{ctx}: missing `sketch` array"))?
+                    .iter()
+                    .map(|p| {
+                        let p = p.as_arr().filter(|p| p.len() == 2);
+                        let b = p.and_then(|p| p[0].as_u64());
+                        let c = p.and_then(|p| p[1].as_u64());
+                        b.map(|b| b as usize)
+                            .zip(c)
+                            .ok_or_else(|| format!("{ctx}: malformed `sketch` pair"))
+                    })
+                    .collect::<Result<Vec<_>, _>>()?;
                 let sketch = Sketch::from_parts(&sketch_pairs, count, sum, min, max)
                     .map_err(|e| format!("{ctx}: {e}"))?;
                 snap.histograms.push(HistogramSnapshot {
@@ -395,10 +380,6 @@ impl Snapshot {
                     sum,
                     min,
                     max,
-                    buckets: pairs("buckets")?
-                        .into_iter()
-                        .map(|(b, c)| (b as u32, c))
-                        .collect(),
                     sketch,
                 });
             }
@@ -592,8 +573,7 @@ mod tests {
         let h = doc.get("histograms").and_then(|h| h.get("h.i.j")).unwrap();
         assert_eq!(h.get("count").and_then(Value::as_u64), Some(2));
         assert_eq!(h.get("sum").and_then(Value::as_u64), Some(3));
-        let buckets = h.get("buckets").and_then(Value::as_arr).unwrap();
-        assert_eq!(buckets.len(), 2); // zero bucket + bit-length-2 bucket
+        assert!(h.get("buckets").is_none(), "schema 3.0 has no `buckets`");
         assert!(h.get("quantiles").and_then(|q| q.get("p99")).is_some());
         assert_eq!(
             h.get("sketch").and_then(Value::as_arr).map(<[_]>::len),
@@ -627,23 +607,22 @@ mod tests {
     #[test]
     fn from_json_rejects_unknown_major_versions() {
         let json = sample().to_json("vgate");
-        let future = json.replacen(
-            "\"schema_version\": \"2.0\"",
-            "\"schema_version\": \"3.0\"",
-            1,
-        );
-        let err = Snapshot::from_json(&future).expect_err("major 3 must be rejected");
-        assert!(err.contains("3.0"), "{err}");
+        let current = "\"schema_version\": \"3.0\"";
+        assert!(json.contains(current), "written as schema 3.0");
+        let with_version =
+            |v: &str| json.replacen(current, &format!("\"schema_version\": \"{v}\""), 1);
+        // 2.x documents (which carried `buckets`) are rejected by name, as
+        // is any future major.
+        for old_or_future in ["2.0", "4.0"] {
+            let err = Snapshot::from_json(&with_version(old_or_future))
+                .expect_err("other majors must be rejected");
+            assert!(err.contains(old_or_future), "{err}");
+        }
         // Minor bumps within the major are fine.
-        let minor = json.replacen(
-            "\"schema_version\": \"2.0\"",
-            "\"schema_version\": \"2.9\"",
-            1,
-        );
-        assert!(Snapshot::from_json(&minor).is_ok());
-        // Pre-2.0 documents (no version field) are rejected, not guessed at.
-        let legacy = json.replacen("  \"schema_version\": \"2.0\",\n", "", 1);
-        assert!(Snapshot::from_json(&legacy).is_err());
+        assert!(Snapshot::from_json(&with_version("3.9")).is_ok());
+        // Unversioned documents are rejected, not guessed at.
+        let unversioned = json.replacen(&format!("  {current},\n"), "", 1);
+        assert!(Snapshot::from_json(&unversioned).is_err());
         assert!(Snapshot::from_json("{\"x\": 1}").is_err());
         assert!(Snapshot::from_json("not json").is_err());
     }

@@ -287,6 +287,12 @@ impl Bch {
 
     /// Decodes in place, correcting up to `t` errors anywhere in the
     /// codeword (data or parity).
+    ///
+    /// This per-block path has no production caller: the substrates
+    /// decode through [`Bch::decode_batch`] and [`Bch::decode_blocks`]
+    /// (which also handles tails under 64 blocks). It stays as the
+    /// reference the batch engine is tested against
+    /// (`tests/batch_equivalence.rs`, `tests/substrate_props.rs`).
     pub fn decode(&self, cw: &mut BitBuf) -> DecodeOutcome {
         assert_eq!(cw.len(), self.codeword_bits(), "codeword length mismatch");
         let gf = Gf1024::get();

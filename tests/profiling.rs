@@ -328,11 +328,9 @@ fn snapshot_schema_gate_holds_for_pipeline_output() {
     let json = reg.snapshot().to_json("gate");
     let (_, parsed) = Snapshot::from_json(&json).expect("own output parses");
     assert_eq!(profile_shape(&parsed), profile_shape(&reg.snapshot()));
-    let future = json.replacen(
-        "\"schema_version\": \"2.0\"",
-        "\"schema_version\": \"9.1\"",
-        1,
-    );
+    let current = format!("\"schema_version\": \"{}\"", vapp_obs::SCHEMA_VERSION);
+    assert!(json.contains(&current));
+    let future = json.replacen(&current, "\"schema_version\": \"9.1\"", 1);
     assert!(
         Snapshot::from_json(&future).is_err(),
         "future majors must be rejected, not misread"
