@@ -1,15 +1,17 @@
-//! Scaling of the deterministic parallel layer: two workloads pinned to
+//! Scaling of the deterministic parallel layer: three workloads pinned to
 //! 1 / 2 / 4 / 8 workers via `vapp_par::with_threads` — the
-//! `measure_loss_curve` trial fan-out (`loss_curve_w*`) and a CIF encode,
-//! whose mode decision runs as a macroblock-row wavefront (`encode_w*`).
-//! By the vapp-par invariant the outputs are byte-identical at every point
-//! on these curves — only wall-clock moves — so the per-worker medians in
-//! `BENCH_parallel.json` read directly as scaling curves.
+//! `measure_loss_curve` trial fan-out (`loss_curve_w*`), a CIF encode,
+//! whose mode decision runs as a macroblock-row wavefront (`encode_w*`),
+//! and the decode of that CIF stream, whose parse and reconstruction run
+//! as a two-stage pipeline (`decode_w*`). By the vapp-par invariant the
+//! outputs are byte-identical at every point on these curves — only
+//! wall-clock moves — so the per-worker medians in `BENCH_parallel.json`
+//! read directly as scaling curves.
 
 use std::hint::black_box;
 use vapp_bench::harness::Criterion;
 use vapp_bench::{criterion_group, criterion_main};
-use vapp_codec::{Encoder, EncoderConfig};
+use vapp_codec::{decode, Encoder, EncoderConfig};
 use vapp_sim::Trials;
 use vapp_workloads::{ClipSpec, SceneKind};
 use videoapp::pipeline::measure_loss_curve;
@@ -55,6 +57,12 @@ fn bench_parallel(c: &mut Criterion) {
     for workers in [1usize, 2, 4, 8] {
         group.bench_function(format!("encode_w{workers}"), |b| {
             b.iter(|| vapp_par::with_threads(workers, || black_box(cif_encoder.encode(&cif))));
+        });
+    }
+    let cif_stream = cif_encoder.encode(&cif).stream;
+    for workers in [1usize, 2, 4, 8] {
+        group.bench_function(format!("decode_w{workers}"), |b| {
+            b.iter(|| vapp_par::with_threads(workers, || black_box(decode(&cif_stream))));
         });
     }
     group.finish();

@@ -11,6 +11,11 @@
 //! determinism invariant, so the ratio of their medians is a pure
 //! scaling measurement.
 //!
+//! The `decode` lane is printed but not gated: the decoder is a two-stage
+//! pipeline (parse, then reconstruct), so its speedup is capped near 2×
+//! at any worker count and by the slower stage's share below that — a
+//! fixed bar would fail on a correct decoder whenever one stage dominates.
+//!
 //! With `--obs OBS_parallel.json` (an obs snapshot from the same run,
 //! e.g. via `VAPP_OBS_OUT`), the per-worker `par.worker.<w>.busy_ns` /
 //! `idle_ns` utilization counters are rendered as busy fractions, and a
@@ -30,6 +35,9 @@ use vapp_obs::Snapshot;
 
 /// The bench lanes the gate binds, each measured at `_w1` and `_w4`.
 const LANES: [&str; 2] = ["loss_curve", "encode"];
+
+/// The lane reported with its 4-worker speedup but never gated.
+const REPORTED_LANE: &str = "decode";
 
 /// One worker's utilization, read from the `par.worker.<w>.*` counters.
 #[derive(Debug, PartialEq)]
@@ -135,18 +143,7 @@ fn evaluate(
     min_speedup: f64,
     cores: usize,
 ) -> Result<Outcome, String> {
-    let find = |name: &str| -> Result<f64, String> {
-        medians
-            .iter()
-            .find(|(n, _)| n == name)
-            .map(|(_, m)| *m)
-            .ok_or_else(|| format!("bench `{name}` not found in the parallel group"))
-    };
-    let w1 = find(&format!("{lane}_w1"))?;
-    let w4 = find(&format!("{lane}_w4"))?;
-    if w4 <= 0.0 {
-        return Err(format!("{lane}_w4 median is not positive ({w4})"));
-    }
+    let (w1, w4) = lane_w1_w4(medians, lane)?;
     let speedup = w1 / w4;
     if speedup >= min_speedup {
         Ok(Outcome::Pass { speedup })
@@ -159,6 +156,23 @@ fn evaluate(
              {min_speedup:.2}x on this {cores}-core host"
         ))
     }
+}
+
+/// A lane's `_w1` and (positive) `_w4` medians.
+fn lane_w1_w4(medians: &[(String, f64)], lane: &str) -> Result<(f64, f64), String> {
+    let find = |name: &str| -> Result<f64, String> {
+        medians
+            .iter()
+            .find(|(n, _)| n == name)
+            .map(|(_, m)| *m)
+            .ok_or_else(|| format!("bench `{name}` not found in the parallel group"))
+    };
+    let w1 = find(&format!("{lane}_w1"))?;
+    let w4 = find(&format!("{lane}_w4"))?;
+    if w4 <= 0.0 {
+        return Err(format!("{lane}_w4 median is not positive ({w4})"));
+    }
+    Ok((w1, w4))
 }
 
 fn run() -> Result<(), String> {
@@ -228,6 +242,15 @@ fn run() -> Result<(), String> {
             ),
             Err(e) => failures.push(e),
         }
+    }
+    let lane = REPORTED_LANE;
+    match lane_w1_w4(&medians, lane) {
+        Ok((w1, w4)) => println!(
+            "scaling_check: {lane} 4-worker speedup {:.2}x ({cores} cores) — \
+             reported, not gated (two-stage pipeline, capped near 2x)",
+            w1 / w4
+        ),
+        Err(e) => println!("scaling_check: {lane} not reported: {e}"),
     }
     if failures.is_empty() {
         return Ok(());

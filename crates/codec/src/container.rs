@@ -25,6 +25,19 @@ pub enum ParseContainerError {
     InvalidLength,
     /// A frame references a frame that is not coded before it.
     InvalidReference,
+    /// The stream holds no frames.
+    NoFrames,
+    /// The stream header's frame count disagrees with the frames present.
+    FrameCountMismatch {
+        /// `frame_count` in the stream header.
+        declared: u32,
+        /// Frames in the container.
+        present: usize,
+    },
+    /// A frame's coding index is not its position in the container.
+    InvalidCodingIndex,
+    /// A display index is out of range or shared by two frames.
+    InvalidDisplayIndex,
 }
 
 impl std::fmt::Display for ParseContainerError {
@@ -35,6 +48,17 @@ impl std::fmt::Display for ParseContainerError {
             ParseContainerError::InvalidLength => write!(f, "inconsistent length field"),
             ParseContainerError::InvalidReference => {
                 write!(f, "frame references a frame not coded before it")
+            }
+            ParseContainerError::NoFrames => write!(f, "stream holds no frames"),
+            ParseContainerError::FrameCountMismatch { declared, present } => write!(
+                f,
+                "stream header declares {declared} frames, container holds {present}"
+            ),
+            ParseContainerError::InvalidCodingIndex => {
+                write!(f, "frame coding index differs from its position")
+            }
+            ParseContainerError::InvalidDisplayIndex => {
+                write!(f, "display index out of range or repeated")
             }
         }
     }
@@ -96,10 +120,8 @@ impl EncodedVideo {
     /// Returns [`ParseContainerError`] for truncated or inconsistent
     /// buffers — this is the *precise* part of storage; corruption here is
     /// a hard error, unlike payload corruption which the decoder absorbs.
-    /// A `ref_fwd`/`ref_bwd` must name the `coding_index` of an earlier
-    /// frame in the container, below the frame count (the decoder's
-    /// reference buffer holds exactly those), or the parse fails with
-    /// [`ParseContainerError::InvalidReference`].
+    /// A parsed video must also pass [`EncodedVideo::validate`], so
+    /// [`crate::decode`] is total on everything this returns.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, ParseContainerError> {
         let mut c = Cursor { bytes, pos: 0 };
         let sh_len = c.take_u32()? as usize;
@@ -111,6 +133,11 @@ impl EncodedVideo {
         if count > 10_000_000 {
             return Err(ParseContainerError::InvalidLength);
         }
+        // Each frame needs at least its two length fields: a count the
+        // buffer cannot hold fails before anything is sized by it.
+        if count > (bytes.len() - c.pos) / 8 {
+            return Err(ParseContainerError::Truncated);
+        }
         let mut metas = Vec::with_capacity(count);
         for _ in 0..count {
             let fh_len = c.take_u32()? as usize;
@@ -121,22 +148,62 @@ impl EncodedVideo {
             let payload_len = c.take_u32()? as usize;
             metas.push((fh, payload_len));
         }
-        let mut coded = vec![false; count];
-        for (fh, _) in &metas {
-            let is_coded = |r: u32| coded.get(r as usize) == Some(&true);
-            if !fh.ref_fwd.into_iter().chain(fh.ref_bwd).all(is_coded) {
-                return Err(ParseContainerError::InvalidReference);
-            }
-            if let Some(c) = coded.get_mut(fh.coding_index as usize) {
-                *c = true;
-            }
-        }
         let mut frames = Vec::with_capacity(count);
         for (header, payload_len) in metas {
             let payload = c.take(payload_len)?.to_vec();
             frames.push(EncodedFrame { header, payload });
         }
-        Ok(EncodedVideo { header, frames })
+        let video = EncodedVideo { header, frames };
+        video.validate()?;
+        Ok(video)
+    }
+
+    /// Checks the structure [`crate::decode`] relies on, which the encoder
+    /// always writes:
+    ///
+    /// - the stream header passes [`StreamHeader::validate`] (bounded,
+    ///   nonzero dimensions);
+    /// - there is at least one frame, and `frame_count` equals the number
+    ///   of frames;
+    /// - each frame's `coding_index` is its position;
+    /// - display indices are distinct and below `frame_count`;
+    /// - `ref_fwd`/`ref_bwd` name frames coded earlier.
+    ///
+    /// # Errors
+    ///
+    /// The first violation, as a [`ParseContainerError`].
+    pub fn validate(&self) -> Result<(), ParseContainerError> {
+        self.header.validate()?;
+        let n = self.frames.len();
+        if n == 0 {
+            return Err(ParseContainerError::NoFrames);
+        }
+        if self.header.frame_count as usize != n {
+            return Err(ParseContainerError::FrameCountMismatch {
+                declared: self.header.frame_count,
+                present: n,
+            });
+        }
+        let mut shown = vec![false; n];
+        for (i, f) in self.frames.iter().enumerate() {
+            let h = &f.header;
+            if h.coding_index as usize != i {
+                return Err(ParseContainerError::InvalidCodingIndex);
+            }
+            match shown.get_mut(h.display_index as usize) {
+                Some(seen @ false) => *seen = true,
+                _ => return Err(ParseContainerError::InvalidDisplayIndex),
+            }
+            if !h
+                .ref_fwd
+                .into_iter()
+                .chain(h.ref_bwd)
+                .all(|r| (r as usize) < i)
+            {
+                return Err(ParseContainerError::InvalidReference);
+            }
+        }
+        Ok(())
     }
 }
 
@@ -144,6 +211,7 @@ impl EncodedVideo {
 mod tests {
     use super::*;
     use crate::encoder::{Encoder, EncoderConfig};
+    use crate::syntax::MAX_DIMENSION;
     use vapp_media::{Frame, Video};
 
     fn sample_stream() -> EncodedVideo {
@@ -233,6 +301,121 @@ mod tests {
                 "ref_fwd {fwd:?} ref_bwd {bwd:?}"
             );
         }
+    }
+
+    /// Serialises `stream` with its stream header replaced by `header`
+    /// (the frames are left as they are).
+    fn with_header(stream: &EncodedVideo, header: StreamHeader) -> Vec<u8> {
+        EncodedVideo {
+            header,
+            frames: stream.frames.clone(),
+        }
+        .to_bytes()
+    }
+
+    #[test]
+    fn oversized_dimensions_are_rejected_before_decoding() {
+        // A 65535x65535 header would make `decode` pad planes to 4 GiB
+        // each; it must fail in the parser instead.
+        let stream = sample_stream();
+        for (width, height) in [(65_535, 65_535), (MAX_DIMENSION + 1, 32), (48, u32::MAX)] {
+            let header = StreamHeader {
+                width,
+                height,
+                ..stream.header.clone()
+            };
+            assert_eq!(
+                EncodedVideo::from_bytes(&with_header(&stream, header)),
+                Err(ParseContainerError::Header(
+                    ParseHeaderError::DimensionsTooLarge { width, height }
+                )),
+                "{width}x{height}"
+            );
+        }
+        let at_limit = StreamHeader {
+            width: MAX_DIMENSION,
+            height: MAX_DIMENSION,
+            ..stream.header.clone()
+        };
+        assert!(at_limit.validate().is_ok());
+    }
+
+    #[test]
+    fn frame_count_must_match_the_frames_present() {
+        let stream = sample_stream();
+        let n = stream.frames.len();
+        for declared in [0u32, n as u32 - 1, n as u32 + 1, u32::MAX] {
+            let header = StreamHeader {
+                frame_count: declared,
+                ..stream.header.clone()
+            };
+            assert_eq!(
+                EncodedVideo::from_bytes(&with_header(&stream, header)),
+                Err(ParseContainerError::FrameCountMismatch {
+                    declared,
+                    present: n
+                }),
+                "frame_count {declared}"
+            );
+        }
+        // No frames at all: `Video` cannot hold zero frames.
+        let empty = EncodedVideo {
+            header: StreamHeader {
+                frame_count: 0,
+                ..stream.header.clone()
+            },
+            frames: Vec::new(),
+        };
+        assert_eq!(
+            EncodedVideo::from_bytes(&empty.to_bytes()),
+            Err(ParseContainerError::NoFrames)
+        );
+    }
+
+    #[test]
+    fn frame_counts_the_buffer_cannot_hold_fail_before_sizing() {
+        let mut bytes = sample_stream().to_bytes();
+        let sh_len = u32::from_be_bytes(bytes[0..4].try_into().unwrap()) as usize;
+        let at = 4 + sh_len;
+        bytes[at..at + 4].copy_from_slice(&9_999_999u32.to_be_bytes());
+        assert_eq!(
+            EncodedVideo::from_bytes(&bytes),
+            Err(ParseContainerError::Truncated)
+        );
+    }
+
+    #[test]
+    fn coding_and_display_indices_are_checked() {
+        let stream = sample_stream();
+        let mut swapped = stream.clone();
+        swapped.frames[1].header.coding_index = 2;
+        assert_eq!(
+            EncodedVideo::from_bytes(&swapped.to_bytes()),
+            Err(ParseContainerError::InvalidCodingIndex)
+        );
+        let n = stream.frames.len() as u32;
+        for display in [n, u32::MAX, stream.frames[0].header.display_index] {
+            let mut bad = stream.clone();
+            bad.frames[1].header.display_index = display;
+            assert_eq!(
+                EncodedVideo::from_bytes(&bad.to_bytes()),
+                Err(ParseContainerError::InvalidDisplayIndex),
+                "display index {display}"
+            );
+        }
+    }
+
+    #[test]
+    fn decode_panics_only_on_what_the_parser_rejects() {
+        let mut bad = sample_stream();
+        bad.header.frame_count += 1;
+        let caught = std::panic::catch_unwind(|| crate::decoder::decode(&bad));
+        let payload = caught.expect_err("an unvalidated stream must not decode");
+        let msg = payload
+            .downcast_ref::<String>()
+            .cloned()
+            .unwrap_or_default();
+        assert!(msg.contains("declares"), "{msg}");
     }
 
     #[test]

@@ -31,54 +31,95 @@ fn tc(qp: u8) -> i32 {
     (1 + qp as i32 / 10).min(25)
 }
 
-/// Filters one edge pair `(p1, p0 | q0, q1)`, returning the new
-/// `(p0, q0)`.
-#[inline]
-fn filter_pair(p1: i32, p0: i32, q0: i32, q1: i32, a: i32, b: i32, c: i32) -> (i32, i32) {
-    if (p0 - q0).abs() >= a || (p1 - p0).abs() >= b || (q1 - q0).abs() >= b {
-        return (p0, q0);
+/// One frame's QP-derived filter thresholds. Everything fits `i16`:
+/// samples are `0..=255`, the correction's numerator stays within ±1300,
+/// and `alpha <= 255`, `beta <= 18`, `tc <= 25`.
+#[derive(Clone, Copy)]
+struct EdgeFilter {
+    a: i16,
+    b: i16,
+    c: i16,
+}
+
+impl EdgeFilter {
+    fn new(qp: u8) -> Self {
+        EdgeFilter {
+            a: alpha(qp) as i16,
+            b: beta(qp) as i16,
+            c: tc(qp) as i16,
+        }
     }
-    // H.263/H.264-style one-tap correction.
-    let delta = (((q0 - p0) * 4 + (p1 - q1) + 4) >> 3).clamp(-c, c);
-    ((p0 + delta).clamp(0, 255), (q0 - delta).clamp(0, 255))
+
+    /// Filters one edge pair `(p1, p0 | q0, q1)`, returning the new
+    /// `(p0, q0)`. Branch-free: a gated-off edge gets a zero correction,
+    /// which leaves both samples as they were, so rows of edges vectorise.
+    #[inline(always)]
+    fn pair(self, p1: u8, p0: u8, q0: u8, q1: u8) -> (u8, u8) {
+        let (p1, p0, q0, q1) = (p1 as i16, p0 as i16, q0 as i16, q1 as i16);
+        let on =
+            ((p0 - q0).abs() < self.a) & ((p1 - p0).abs() < self.b) & ((q1 - q0).abs() < self.b);
+        // H.263/H.264-style one-tap correction.
+        let delta = (((q0 - p0) * 4 + (p1 - q1) + 4) >> 3).clamp(-self.c, self.c) * on as i16;
+        (
+            (p0 + delta).clamp(0, 255) as u8,
+            (q0 - delta).clamp(0, 255) as u8,
+        )
+    }
+
+    /// Filters the horizontal edge between rows `p0` and `q0` across the
+    /// whole width.
+    fn rows(self, p1: &[u8], p0: &mut [u8], q0: &mut [u8], q1: &[u8]) {
+        let n = p0.len();
+        let (p1, q0, q1) = (&p1[..n], &mut q0[..n], &q1[..n]);
+        for i in 0..n {
+            (p0[i], q0[i]) = self.pair(p1[i], p0[i], q0[i], q1[i]);
+        }
+    }
 }
 
 /// Deblocks a reconstructed frame in place: all internal vertical and
 /// horizontal 4x4-block edges, with thresholds driven by the frame QP.
+///
+/// Every edge reads two samples on each side and writes only the two
+/// next to it, so edges four samples apart never touch each other's
+/// inputs: the vertical edges run row by row over disjoint four-sample
+/// windows, then the horizontal edges run as whole-row passes. Samples
+/// past the last row or column read the border sample, as
+/// [`Plane::sample`] would.
 pub fn deblock_plane(plane: &mut Plane, qp: u8) {
-    let a = alpha(qp);
-    let b = beta(qp);
-    let c = tc(qp);
+    let _span = vapp_obs::span!("codec.deblock");
+    let f = EdgeFilter::new(qp);
     let (w, h) = (plane.width(), plane.height());
+    let data = plane.data_mut();
 
-    // Vertical edges (filter across x = 4, 8, ...).
-    let mut x = 4;
-    while x < w {
-        for y in 0..h {
-            let p1 = plane.get(x - 2, y) as i32;
-            let p0 = plane.get(x - 1, y) as i32;
-            let q0 = plane.get(x, y) as i32;
-            let q1 = plane.sample(x as isize + 1, y as isize) as i32;
-            let (np0, nq0) = filter_pair(p1, p0, q0, q1, a, b, c);
-            plane.set(x - 1, y, np0 as u8);
-            plane.set(x, y, nq0 as u8);
+    // Vertical edges (filter across x = 4, 8, ...): the edge at x owns the
+    // window x-2..x+2.
+    for row in data.chunks_exact_mut(w) {
+        let Some(tail) = row.get_mut(2..) else {
+            continue;
+        };
+        let mut windows = tail.chunks_exact_mut(4);
+        for win in &mut windows {
+            (win[1], win[2]) = f.pair(win[0], win[1], win[2], win[3]);
         }
-        x += 4;
+        // An edge at the last column (w % 4 == 1) has q1 clamped onto q0.
+        if let [p1, p0, q0] = windows.into_remainder() {
+            (*p0, *q0) = f.pair(*p1, *p0, *q0, *q0);
+        }
     }
 
     // Horizontal edges (filter across y = 4, 8, ...).
-    let mut y = 4;
-    while y < h {
-        for x in 0..w {
-            let p1 = plane.get(x, y - 2) as i32;
-            let p0 = plane.get(x, y - 1) as i32;
-            let q0 = plane.get(x, y) as i32;
-            let q1 = plane.sample(x as isize, y as isize + 1) as i32;
-            let (np0, nq0) = filter_pair(p1, p0, q0, q1, a, b, c);
-            plane.set(x, y - 1, np0 as u8);
-            plane.set(x, y, nq0 as u8);
+    for y in (4..h).step_by(4) {
+        let (above, below) = data.split_at_mut(y * w);
+        let (p1, p0) = above[(y - 2) * w..].split_at_mut(w);
+        let (q0, rest) = below.split_at_mut(w);
+        if rest.len() >= w {
+            f.rows(p1, p0, q0, &rest[..w]);
+        } else {
+            // q0 is the last row: q1 clamps onto it.
+            let q1 = q0.to_vec();
+            f.rows(p1, p0, q0, &q1);
         }
-        y += 4;
     }
 }
 

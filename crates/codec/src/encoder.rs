@@ -146,9 +146,17 @@ impl Encoder {
     ///
     /// # Panics
     ///
-    /// Panics if `video` is empty.
+    /// Panics if `video` is empty, or wider or taller than
+    /// [`crate::syntax::MAX_DIMENSION`] (no container could carry it).
     pub fn encode(&self, video: &Video) -> EncodeResult {
         assert!(!video.is_empty(), "cannot encode an empty video");
+        let max = crate::syntax::MAX_DIMENSION as usize;
+        assert!(
+            video.width() <= max && video.height() <= max,
+            "cannot encode a {}x{} video: frames are limited to {max}x{max}",
+            video.width(),
+            video.height()
+        );
         let frames_total = video.len();
         let _video_span = vapp_obs::span!("codec.video.encode", frames_total);
         let plans = plan_gop(
@@ -215,12 +223,17 @@ impl Encoder {
                 header,
                 payload: out.payload,
             });
+            dpb[plan.coding] = Some(out.recon);
+        }
+        // Every reference plane moves into its display slot; only padded
+        // planes are copied (cropped).
+        for plan in &plans {
+            let recon = dpb[plan.coding].take().expect("all frames coded");
             recon_display[plan.display] = Some(Frame::from_plane(crop(
-                &out.recon,
+                recon,
                 video.width(),
                 video.height(),
             )));
-            dpb[plan.coding] = Some(out.recon);
         }
 
         let stream = EncodedVideo {
@@ -363,18 +376,17 @@ pub(crate) fn pad_to_mb(p: &Plane) -> Plane {
     out
 }
 
-/// Crops a padded plane back to display size.
-pub(crate) fn crop(p: &Plane, w: usize, h: usize) -> Plane {
+/// Crops a padded plane back to display size; an unpadded plane is
+/// returned as it is, without a copy.
+pub(crate) fn crop(p: Plane, w: usize, h: usize) -> Plane {
     if p.width() == w && p.height() == h {
-        return p.clone();
+        return p;
     }
-    let mut out = Plane::new(w, h);
+    let mut data = Vec::with_capacity(w * h);
     for y in 0..h {
-        for x in 0..w {
-            out.set(x, y, p.get(x, y));
-        }
+        data.extend_from_slice(&p.row(y)[..w]);
     }
-    out
+    Plane::from_data(w, h, data)
 }
 
 /// Per-macroblock state both codecs track for prediction and contexts.
@@ -1664,10 +1676,12 @@ mod tests {
         let padded = pad_to_mb(&p);
         assert_eq!(padded.width(), 32);
         assert_eq!(padded.height(), 16);
-        assert_eq!(crop(&padded, 20, 13), p);
         // Padding replicates edges.
         assert_eq!(padded.get(31, 5), p.get(19, 5));
         assert_eq!(padded.get(4, 15), p.get(4, 12));
+        assert_eq!(crop(padded, 20, 13), p);
+        // An unpadded plane passes through.
+        assert_eq!(crop(p.clone(), 20, 13), p);
     }
 
     #[test]

@@ -55,48 +55,46 @@ pub enum Element {
 }
 
 impl Element {
-    /// (number of context increments, number of context-coded bins).
-    fn dims(self) -> (usize, usize) {
-        match self {
-            Element::Skip => (3, 1),
-            Element::Intra => (3, 1),
-            Element::IntraMode => (1, 3),
-            Element::Intra4 => (1, 1),
-            Element::Intra4Mode => (1, 3),
-            Element::PartShape => (1, 3),
-            Element::SubShape => (1, 3),
-            Element::PredDir => (1, 2),
-            Element::MvdX | Element::MvdY => (3, 5),
-            Element::QpDelta => (1, 3),
-            Element::Cbp => (4, 1),
-            Element::Blk4 => (4, 1),
-            Element::Sig => (15, 1),
-            Element::Last => (15, 1),
-            Element::Level => (2, 5),
-        }
-    }
-
-    fn all() -> [Element; 16] {
-        [
-            Element::Skip,
-            Element::Intra,
-            Element::IntraMode,
-            Element::Intra4,
-            Element::Intra4Mode,
-            Element::PartShape,
-            Element::SubShape,
-            Element::PredDir,
-            Element::MvdX,
-            Element::MvdY,
-            Element::QpDelta,
-            Element::Cbp,
-            Element::Blk4,
-            Element::Sig,
-            Element::Last,
-            Element::Level,
-        ]
-    }
+    /// (number of context increments, number of context-coded bins),
+    /// indexed by `Element as usize` (declaration order).
+    const DIMS: [(usize, usize); 16] = [
+        (3, 1),  // Skip
+        (3, 1),  // Intra
+        (1, 3),  // IntraMode
+        (1, 1),  // Intra4
+        (1, 3),  // Intra4Mode
+        (1, 3),  // PartShape
+        (1, 3),  // SubShape
+        (1, 2),  // PredDir
+        (3, 5),  // MvdX
+        (3, 5),  // MvdY
+        (1, 3),  // QpDelta
+        (4, 1),  // Cbp
+        (4, 1),  // Blk4
+        (15, 1), // Sig
+        (15, 1), // Last
+        (2, 5),  // Level
+    ];
 }
+
+/// Each element's first context in the table: the running sum of the
+/// earlier elements' `incs * bins`, computed at compile time.
+const CTX_OFFSETS: [usize; 16] = {
+    let mut out = [0; 16];
+    let mut i = 1;
+    while i < 16 {
+        let (incs, bins) = Element::DIMS[i - 1];
+        out[i] = out[i - 1] + incs * bins;
+        i += 1;
+    }
+    out
+};
+
+/// Contexts in the whole table.
+const CTX_COUNT: usize = {
+    let (incs, bins) = Element::DIMS[15];
+    CTX_OFFSETS[15] + incs * bins
+};
 
 /// Truncated-unary prefix length before switching to the Exp-Golomb escape
 /// in `put_uint`/`get_uint` (UEG0 binarisation, as CABAC uses for MVD).
@@ -104,43 +102,31 @@ const TU_LIMIT: u32 = 4;
 /// Cap on Exp-Golomb escape prefixes when decoding corrupt data.
 const MAX_EG_PREFIX: u32 = 32;
 
-/// Context table shared by the CABAC writer and reader; layout must match
-/// on both sides.
+/// Context table shared by the CABAC writer and reader; both index it
+/// through the same compile-time offsets, so the layout matches on both
+/// sides. A lookup is one table read and two clamps — it runs for every
+/// context-coded bin.
 #[derive(Clone, Debug)]
 struct ContextTable {
-    ctxs: Vec<BinContext>,
-    offsets: Vec<(Element, usize, usize, usize)>, // (el, offset, incs, bins)
+    ctxs: [BinContext; CTX_COUNT],
 }
 
 impl ContextTable {
     fn new() -> Self {
-        let mut offsets = Vec::new();
-        let mut total = 0;
-        for el in Element::all() {
-            let (incs, bins) = el.dims();
-            offsets.push((el, total, incs, bins));
-            total += incs * bins;
-        }
         ContextTable {
-            ctxs: vec![BinContext::new(); total],
-            offsets,
+            ctxs: [BinContext::new(); CTX_COUNT],
         }
     }
 
     #[inline]
-    fn index(&self, el: Element, inc: usize, bin: usize) -> usize {
-        let &(_, offset, incs, bins) = self
-            .offsets
-            .iter()
-            .find(|&&(e, ..)| e == el)
-            .expect("all elements registered");
-        offset + inc.min(incs - 1) * bins + bin.min(bins - 1)
+    fn index(el: Element, inc: usize, bin: usize) -> usize {
+        let (incs, bins) = Element::DIMS[el as usize];
+        CTX_OFFSETS[el as usize] + inc.min(incs - 1) * bins + bin.min(bins - 1)
     }
 
     #[inline]
     fn ctx_mut(&mut self, el: Element, inc: usize, bin: usize) -> &mut BinContext {
-        let i = self.index(el, inc, bin);
-        &mut self.ctxs[i]
+        &mut self.ctxs[Self::index(el, inc, bin)]
     }
 }
 
@@ -315,8 +301,8 @@ impl<'a> CabacReader<'a> {
 
 impl<'a> SymbolReader for CabacReader<'a> {
     fn get_flag(&mut self, el: Element, inc: usize) -> bool {
-        let i = self.table.index(el, inc, 0);
-        self.dec.decode(&mut self.table.ctxs[i])
+        let ctx = self.table.ctx_mut(el, inc, 0);
+        self.dec.decode(ctx)
     }
 
     fn get_uint(&mut self, el: Element, inc: usize) -> u32 {
@@ -524,6 +510,43 @@ mod tests {
             assert!(r.get_flag(Element::Intra, 0));
             assert!(!r.get_flag(Element::Intra, 2));
         }
+    }
+
+    #[test]
+    fn context_offsets_tile_the_table() {
+        // Every (element, inc, bin) gets its own context, and together they
+        // fill the table exactly: no overlap between elements, no gap.
+        let mut seen = [false; CTX_COUNT];
+        let elements = [
+            Element::Skip,
+            Element::Intra,
+            Element::IntraMode,
+            Element::Intra4,
+            Element::Intra4Mode,
+            Element::PartShape,
+            Element::SubShape,
+            Element::PredDir,
+            Element::MvdX,
+            Element::MvdY,
+            Element::QpDelta,
+            Element::Cbp,
+            Element::Blk4,
+            Element::Sig,
+            Element::Last,
+            Element::Level,
+        ];
+        for el in elements {
+            let (incs, bins) = Element::DIMS[el as usize];
+            for inc in 0..incs {
+                for bin in 0..bins {
+                    let i = ContextTable::index(el, inc, bin);
+                    assert!(!seen[i], "{el:?} inc {inc} bin {bin} reuses context {i}");
+                    seen[i] = true;
+                }
+            }
+        }
+        assert!(seen.iter().all(|&s| s), "unused contexts in the table");
+        assert_eq!(CTX_COUNT, 102);
     }
 
     #[test]

@@ -20,6 +20,17 @@ pub struct IntraAvail {
 }
 
 impl IntraAvail {
+    /// Whether `mode` may be used given these borders — the membership
+    /// test of [`IntraAvail::legal_modes`] without building the list.
+    pub(crate) fn allows(self, mode: IntraMode) -> bool {
+        match mode {
+            IntraMode::Dc => true,
+            IntraMode::Vertical => self.top,
+            IntraMode::Horizontal => self.left,
+            IntraMode::Plane => self.top && self.left,
+        }
+    }
+
     /// Modes that may be used given these borders. DC is always legal.
     pub fn legal_modes(self) -> Vec<IntraMode> {
         let mut modes = vec![IntraMode::Dc];
@@ -48,7 +59,7 @@ pub fn predict_intra16(
     avail: IntraAvail,
     mode: IntraMode,
 ) -> [u8; 256] {
-    let mode = if avail.legal_modes().contains(&mode) {
+    let mode = if avail.allows(mode) {
         mode
     } else {
         IntraMode::Dc
@@ -129,6 +140,17 @@ pub struct Intra4Avail {
 }
 
 impl Intra4Avail {
+    /// Whether `mode` may be used given these borders — the membership
+    /// test of [`Intra4Avail::legal_modes`] without building the list.
+    pub(crate) fn allows(self, mode: Intra4Mode) -> bool {
+        match mode {
+            Intra4Mode::Dc => true,
+            Intra4Mode::Vertical | Intra4Mode::DiagDownLeft => self.top,
+            Intra4Mode::Horizontal => self.left,
+            Intra4Mode::DiagDownRight => self.top && self.left,
+        }
+    }
+
     /// Modes usable with these borders (DC always; diagonal modes need
     /// the full border set they extrapolate from).
     pub fn legal_modes(self) -> Vec<Intra4Mode> {
@@ -160,7 +182,7 @@ pub fn predict_intra4(
     avail: Intra4Avail,
     mode: Intra4Mode,
 ) -> [u8; 16] {
-    let mode = if avail.legal_modes().contains(&mode) {
+    let mode = if avail.allows(mode) {
         mode
     } else {
         Intra4Mode::Dc
@@ -269,7 +291,7 @@ pub fn intra_sources(
     avail: IntraAvail,
     mode: IntraMode,
 ) -> Vec<(usize, f64)> {
-    let mode = if avail.legal_modes().contains(&mode) {
+    let mode = if avail.allows(mode) {
         mode
     } else {
         IntraMode::Dc
@@ -463,6 +485,24 @@ mod tests {
         let ddl = predict_intra4(&p, 20, 20, none, Intra4Mode::DiagDownLeft);
         let dc = predict_intra4(&p, 20, 20, none, Intra4Mode::Dc);
         assert_eq!(ddl, dc);
+    }
+
+    #[test]
+    fn allows_matches_legal_mode_lists() {
+        for (left, top) in [(false, false), (true, false), (false, true), (true, true)] {
+            let a16 = IntraAvail { left, top };
+            for m in IntraMode::ALL {
+                assert_eq!(
+                    a16.allows(m),
+                    a16.legal_modes().contains(&m),
+                    "{a16:?} {m:?}"
+                );
+            }
+            let a4 = Intra4Avail { left, top };
+            for m in Intra4Mode::ALL {
+                assert_eq!(a4.allows(m), a4.legal_modes().contains(&m), "{a4:?} {m:?}");
+            }
+        }
     }
 
     #[test]

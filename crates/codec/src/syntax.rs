@@ -17,6 +17,13 @@ pub enum ParseHeaderError {
     BadMagic,
     /// A field held an impossible value.
     InvalidField(&'static str),
+    /// Width or height exceeds [`MAX_DIMENSION`].
+    DimensionsTooLarge {
+        /// Declared width in pixels.
+        width: u32,
+        /// Declared height in pixels.
+        height: u32,
+    },
 }
 
 impl std::fmt::Display for ParseHeaderError {
@@ -24,6 +31,10 @@ impl std::fmt::Display for ParseHeaderError {
         match self {
             ParseHeaderError::BadMagic => write!(f, "not a VideoApp stream header"),
             ParseHeaderError::InvalidField(name) => write!(f, "invalid header field `{name}`"),
+            ParseHeaderError::DimensionsTooLarge { width, height } => write!(
+                f,
+                "frame size {width}x{height} exceeds {MAX_DIMENSION}x{MAX_DIMENSION}"
+            ),
         }
     }
 }
@@ -31,6 +42,11 @@ impl std::fmt::Display for ParseHeaderError {
 impl std::error::Error for ParseHeaderError {}
 
 const MAGIC: u32 = 0x5641_5031; // "VAP1"
+
+/// Largest width or height a stream may declare. Decoding allocates a
+/// plane per frame from the declared size, so an unbounded header could
+/// demand gigabytes before a single payload byte is read.
+pub const MAX_DIMENSION: u32 = 8192;
 
 /// Sequence-level header.
 #[derive(Clone, Debug, PartialEq)]
@@ -110,13 +126,7 @@ impl StreamHeader {
         let flags = r.get_bits(8);
         let subpel = flags & 1 == 1;
         let deblock = flags & 2 == 2;
-        if width == 0 || height == 0 {
-            return Err(ParseHeaderError::InvalidField("dimensions"));
-        }
-        if slices == 0 || keyint == 0 {
-            return Err(ParseHeaderError::InvalidField("structure"));
-        }
-        Ok(StreamHeader {
+        let header = StreamHeader {
             width,
             height,
             fps,
@@ -128,7 +138,30 @@ impl StreamHeader {
             bframes,
             subpel,
             deblock,
-        })
+        };
+        header.validate()?;
+        Ok(header)
+    }
+
+    /// Checks the fields a decoder sizes its work by.
+    ///
+    /// # Errors
+    ///
+    /// [`ParseHeaderError::InvalidField`] for a zero dimension, slice count
+    /// or key interval; [`ParseHeaderError::DimensionsTooLarge`] past
+    /// [`MAX_DIMENSION`].
+    pub fn validate(&self) -> Result<(), ParseHeaderError> {
+        let (width, height) = (self.width, self.height);
+        if width == 0 || height == 0 {
+            return Err(ParseHeaderError::InvalidField("dimensions"));
+        }
+        if width > MAX_DIMENSION || height > MAX_DIMENSION {
+            return Err(ParseHeaderError::DimensionsTooLarge { width, height });
+        }
+        if self.slices == 0 || self.keyint == 0 {
+            return Err(ParseHeaderError::InvalidField("structure"));
+        }
+        Ok(())
     }
 }
 

@@ -3,9 +3,11 @@
 //! SWAR (and optional intrinsic) kernels must reproduce exactly, across
 //! random blocks, non-multiple-of-8 widths and border geometries. The
 //! per-block range-2 motion search likewise stays the specification for
-//! the cell SAD map the encoder sums its partition searches from.
+//! the cell SAD map the encoder sums its partition searches from, and the
+//! column-major per-sample deblocking loop for the row-major slice filter.
 
 use vapp_check::{RngExt, StdRng};
+use vapp_codec::deblock::deblock_plane;
 use vapp_codec::inter::{
     mc_block_halfpel_into, search_sub_stats, CellSadMap, SearchStats, MAX_BLOCK_PIXELS, MV_LIMIT,
 };
@@ -252,5 +254,77 @@ fn cell_sad_map_search_matches_per_block_range_two_search() {
             assert_eq!(got, want, "{what}: mv/sad differ");
             assert_eq!(got_stats, want_stats, "{what}: stats differ");
         }
+    });
+}
+
+/// The per-sample deblocking loop the row-major filter replaced: vertical
+/// edges column by column, then horizontal edges, through clamped
+/// `get`/`set`/`sample` and an early-out gate.
+fn deblock_reference(plane: &mut Plane, qp: u8) {
+    let a = (0.8 * f64::powf(2.0, qp as f64 / 6.0)).min(255.0) as i32;
+    let b = (0.5 * qp as f64).min(18.0) as i32;
+    let c = (1 + qp as i32 / 10).min(25);
+    let pair = |p1: i32, p0: i32, q0: i32, q1: i32| {
+        if (p0 - q0).abs() >= a || (p1 - p0).abs() >= b || (q1 - q0).abs() >= b {
+            return (p0, q0);
+        }
+        let delta = (((q0 - p0) * 4 + (p1 - q1) + 4) >> 3).clamp(-c, c);
+        ((p0 + delta).clamp(0, 255), (q0 - delta).clamp(0, 255))
+    };
+    let (w, h) = (plane.width(), plane.height());
+    let mut x = 4;
+    while x < w {
+        for y in 0..h {
+            let q1 = plane.sample(x as isize + 1, y as isize) as i32;
+            let (np0, nq0) = pair(
+                plane.get(x - 2, y) as i32,
+                plane.get(x - 1, y) as i32,
+                plane.get(x, y) as i32,
+                q1,
+            );
+            plane.set(x - 1, y, np0 as u8);
+            plane.set(x, y, nq0 as u8);
+        }
+        x += 4;
+    }
+    let mut y = 4;
+    while y < h {
+        for x in 0..w {
+            let q1 = plane.sample(x as isize, y as isize + 1) as i32;
+            let (np0, nq0) = pair(
+                plane.get(x, y - 2) as i32,
+                plane.get(x, y - 1) as i32,
+                plane.get(x, y) as i32,
+                q1,
+            );
+            plane.set(x, y - 1, np0 as u8);
+            plane.set(x, y, nq0 as u8);
+        }
+        y += 4;
+    }
+}
+
+#[test]
+fn row_major_deblock_matches_per_sample_reference() {
+    vapp_check::check("deblock_row_major", 96, |rng| {
+        // Any size (edges at the last row/column included), smooth texture
+        // with block steps so both gates open and close.
+        let w = rng.random_range(1..48usize);
+        let h = rng.random_range(1..48usize);
+        let step = rng.random_range(0..40i32);
+        let noise = rng.random_range(1..12i32);
+        let data: Vec<u8> = (0..w * h)
+            .map(|i| {
+                let (x, y) = (i % w, i / w);
+                let block = ((x / 4 + y / 4) % 3) as i32 * step;
+                (100 + block + rng.random_range(0..noise)).clamp(0, 255) as u8
+            })
+            .collect();
+        let qp = rng.random_range(0..=MAX_QP);
+        let mut fast = Plane::from_data(w, h, data);
+        let mut reference = fast.clone();
+        deblock_plane(&mut fast, qp);
+        deblock_reference(&mut reference, qp);
+        assert_eq!(fast, reference, "{w}x{h} qp {qp}");
     });
 }

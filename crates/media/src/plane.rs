@@ -128,6 +128,16 @@ impl Plane {
         &self.data[y * self.width..(y + 1) * self.width]
     }
 
+    /// Returns one row of pixels, mutably.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `y` is out of bounds.
+    #[inline]
+    pub fn row_mut(&mut self, y: usize) -> &mut [u8] {
+        &mut self.data[y * self.width..(y + 1) * self.width]
+    }
+
     /// Copies a `w x h` block whose top-left corner is `(x, y)` into `out`
     /// (row-major, clamped at borders).
     ///

@@ -1,9 +1,11 @@
 //! Deterministic data parallelism on `std::thread::scope`.
 //!
 //! Every hot loop in this workspace fans out through [`par_map`] /
-//! [`par_chunks`], or — for grids whose cells read their left, above and
-//! above-right neighbours, like macroblock mode decision — through
-//! [`par_wavefront`]: order-preserving, panic-propagating, and — because the
+//! [`par_chunks`]; grids whose cells read their left, above and
+//! above-right neighbours, like macroblock mode decision, go through
+//! [`par_wavefront`]; and two sequential stages that can overlap, like the
+//! decoder's parse and reconstruction, go through [`par_pipeline`]. All
+//! are order-preserving, panic-propagating, and — because the
 //! units they run are seeded with sub-seeds derived *up front* — the
 //! results are a pure function of the inputs, byte-identical at any
 //! worker count. Parallelism here changes wall-clock only, never output;
@@ -49,7 +51,7 @@
 //!
 //! # Nesting
 //!
-//! A `par_map` issued from inside a worker runs sequentially: the outer
+//! A parallel region opened from inside a worker runs inline: the outer
 //! fan-out already owns the cores, and nested spawning would oversubscribe
 //! without changing any result (by the determinism invariant above).
 
@@ -213,6 +215,15 @@ fn run_workers<B>(workers: usize, body: B)
 where
     B: Fn(&mut Utilization) + Sync,
 {
+    run_workers_beside(workers, body, || ());
+}
+
+/// [`run_workers`], with `beside` running on the calling thread while the
+/// workers run; returns what `beside` returns once every worker is done.
+fn run_workers_beside<B, R>(workers: usize, body: B, beside: impl FnOnce() -> R) -> R
+where
+    B: Fn(&mut Utilization) + Sync,
+{
     let reg = vapp_obs::current();
     // Captured on the caller so worker-side spans fold into the spawning
     // span's subtree (profile paths thread-count invariant).
@@ -229,18 +240,25 @@ where
                         let region_start = std::time::Instant::now();
                         let mut util = Utilization::default();
                         body(&mut util);
-                        let wall_ns = region_start.elapsed().as_nanos() as u64;
-                        let r = vapp_obs::current();
-                        r.counter(&format!("par.worker.{w}.tasks")).add(util.tasks);
-                        r.counter(&format!("par.worker.{w}.busy_ns"))
-                            .add(util.busy_ns);
-                        r.counter(&format!("par.worker.{w}.idle_ns"))
-                            .add(wall_ns.saturating_sub(util.busy_ns));
+                        record_utilization(w, &util, region_start.elapsed());
                     });
                 });
             });
         }
-    });
+        beside()
+    })
+}
+
+/// Records worker `w`'s `par.worker.<w>.*` counters for a region that
+/// lasted `wall`.
+fn record_utilization(w: usize, util: &Utilization, wall: std::time::Duration) {
+    let wall_ns = wall.as_nanos() as u64;
+    let r = vapp_obs::current();
+    r.counter(&format!("par.worker.{w}.tasks")).add(util.tasks);
+    r.counter(&format!("par.worker.{w}.busy_ns"))
+        .add(util.busy_ns);
+    r.counter(&format!("par.worker.{w}.idle_ns"))
+        .add(wall_ns.saturating_sub(util.busy_ns));
 }
 
 /// The first panic payload raised inside a region.
@@ -381,6 +399,253 @@ where
         .into_iter()
         .map(|c| c.into_inner().expect("every cell finished"))
         .collect()
+}
+
+/// The bounded queue between the two stages of a [`par_pipeline`]. A
+/// `None` message ends a unit. Only the producer waits on a full queue and
+/// only the consumer on an empty one, so one condition variable serves
+/// both, and each side wakes the other only when it is waiting. A producer
+/// that found the queue full sleeps until it has drained to half, so a
+/// full queue costs one wake-up per half queue rather than one per item.
+/// The lock guards no invariant a panic could break (no caller code runs
+/// under it), so a poisoned lock is recovered.
+struct Handoff<T> {
+    state: Mutex<HandoffState<T>>,
+    changed: Condvar,
+    capacity: usize,
+}
+
+struct HandoffState<T> {
+    queue: std::collections::VecDeque<Option<T>>,
+    /// Items (not unit ends) in `queue`.
+    items: usize,
+    producer_waiting: bool,
+    consumer_waiting: bool,
+    /// Set when either stage panicked: both stop.
+    poisoned: bool,
+}
+
+impl<T> Handoff<T> {
+    fn new(capacity: usize) -> Self {
+        Handoff {
+            state: Mutex::new(HandoffState {
+                queue: std::collections::VecDeque::with_capacity(capacity + 1),
+                items: 0,
+                producer_waiting: false,
+                consumer_waiting: false,
+                poisoned: false,
+            }),
+            changed: Condvar::new(),
+            capacity: capacity.max(1),
+        }
+    }
+
+    fn lock(&self) -> std::sync::MutexGuard<'_, HandoffState<T>> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Queues `msg`; an item first blocks while `capacity` items are
+    /// queued, and then until half of them are gone. Dropped once the
+    /// pipeline is poisoned. Returns the nanoseconds spent blocked.
+    fn push(&self, msg: Option<T>) -> u64 {
+        let mut st = self.lock();
+        let mut waited = 0;
+        if msg.is_some() && st.items >= self.capacity && !st.poisoned {
+            let start = std::time::Instant::now();
+            st.producer_waiting = true;
+            while st.items > self.capacity / 2 && !st.poisoned {
+                st = self
+                    .changed
+                    .wait(st)
+                    .unwrap_or_else(PoisonError::into_inner);
+            }
+            st.producer_waiting = false;
+            waited = start.elapsed().as_nanos() as u64;
+        }
+        if st.poisoned {
+            return waited;
+        }
+        st.items += usize::from(msg.is_some());
+        st.queue.push_back(msg);
+        let wake = st.consumer_waiting;
+        drop(st);
+        if wake {
+            self.changed.notify_all();
+        }
+        waited
+    }
+
+    /// The next message, blocking while the queue is empty; `None` once the
+    /// pipeline is poisoned. Adds the nanoseconds spent blocked to `waited`.
+    fn pop(&self, waited: &mut u64) -> Option<Option<T>> {
+        let mut st = self.lock();
+        if st.queue.is_empty() && !st.poisoned {
+            let start = std::time::Instant::now();
+            st.consumer_waiting = true;
+            while st.queue.is_empty() && !st.poisoned {
+                st = self
+                    .changed
+                    .wait(st)
+                    .unwrap_or_else(PoisonError::into_inner);
+            }
+            st.consumer_waiting = false;
+            *waited += start.elapsed().as_nanos() as u64;
+        }
+        if st.poisoned {
+            return None;
+        }
+        let msg = st.queue.pop_front().expect("queue checked non-empty");
+        st.items -= usize::from(msg.is_some());
+        let wake = st.producer_waiting && st.items <= self.capacity / 2;
+        drop(st);
+        if wake {
+            self.changed.notify_all();
+        }
+        Some(msg)
+    }
+
+    fn poison(&self) {
+        self.lock().poisoned = true;
+        self.changed.notify_all();
+    }
+}
+
+/// The consumer's view of one unit in a fanned-out [`par_pipeline`]: the
+/// unit's items in order, ending at its end marker (or when the pipeline
+/// is poisoned).
+struct UnitItems<'a, T> {
+    handoff: &'a Handoff<T>,
+    ended: bool,
+    waited: u64,
+}
+
+impl<T> Iterator for UnitItems<'_, T> {
+    type Item = T;
+
+    fn next(&mut self) -> Option<T> {
+        if self.ended {
+            return None;
+        }
+        match self.handoff.pop(&mut self.waited) {
+            Some(Some(item)) => Some(item),
+            _ => {
+                self.ended = true;
+                None
+            }
+        }
+    }
+}
+
+/// Runs `units` through a two-stage pipeline, both stages in unit order:
+/// `produce(i, unit, emit)` turns unit `i` into a sequence of items,
+/// handing each to `emit`, and `consume(i, items)` receives exactly the
+/// items unit `i` emitted, in order.
+///
+/// With two or more effective workers the stages overlap: one spawned
+/// worker runs every `produce` call while the calling thread runs every
+/// `consume` call, joined by a hand-off queue that holds at most
+/// `capacity` items — a full queue blocks the producer, so it runs at most
+/// that far ahead and the memory in flight stays bounded. More workers add
+/// nothing: each stage is sequential. Whatever `consume` allocates comes
+/// from the caller's thread, as it would inline. With one effective
+/// worker, or inside another region, the pipeline runs inline: each unit
+/// is produced into a buffer and then consumed, so the calls (and any
+/// spans they open) are the same and in the same order per stage, and at
+/// most one unit's items are held.
+///
+/// Both stages are sequential functions of their inputs, so as long as
+/// `consume` depends only on the items (and its own state), the results
+/// are the same at any worker count. In the `par.worker.<w>.*` counters
+/// the producer is worker 0 and the consumer worker 1: `tasks` counts
+/// units, and time blocked on the queue counts as idle, which shows which
+/// stage bounds the run. Regions opened inside either stage run inline.
+///
+/// A panic in either stage stops both — a blocked stage is woken, the
+/// producer drops the rest of its unit and starts no other, the consumer
+/// sees its items end — and the first payload is re-raised on the caller.
+pub fn par_pipeline<U, T, P, C>(units: Vec<U>, capacity: usize, mut produce: P, mut consume: C)
+where
+    U: Send,
+    T: Send,
+    P: FnMut(usize, U, &mut dyn FnMut(T)) + Send,
+    C: FnMut(usize, &mut dyn Iterator<Item = T>),
+{
+    let n = units.len();
+    if n == 0 {
+        return;
+    }
+    if effective_threads() <= 1 || IN_WORKER.with(Cell::get) {
+        let mut buf = Vec::new();
+        for (i, unit) in units.into_iter().enumerate() {
+            produce(i, unit, &mut |item| buf.push(item));
+            consume(i, &mut buf.drain(..));
+        }
+        return;
+    }
+
+    let handoff = Handoff::new(capacity);
+    let producer = Mutex::new(Some((units, produce)));
+    let panic_payload: PanicSlot = Mutex::new(None);
+    let fail = |p| {
+        keep_first_panic(&panic_payload, p);
+        handoff.poison();
+    };
+
+    let produce_all = |util: &mut Utilization| {
+        let start = std::time::Instant::now();
+        let mut waited = 0u64;
+        let taken = producer.lock().expect("producer lock").take();
+        let (units, mut produce) = taken.expect("one producer");
+        for (i, unit) in units.into_iter().enumerate() {
+            if handoff.lock().poisoned {
+                break;
+            }
+            util.tasks += 1;
+            let outcome = catch_unwind(AssertUnwindSafe(|| {
+                produce(i, unit, &mut |item| waited += handoff.push(Some(item)));
+            }));
+            if let Err(p) = outcome {
+                fail(p);
+                break;
+            }
+            waited += handoff.push(None);
+        }
+        util.busy_ns = (start.elapsed().as_nanos() as u64).saturating_sub(waited);
+    };
+
+    let consume_all = || {
+        let start = std::time::Instant::now();
+        let mut util = Utilization::default();
+        let mut waited = 0u64;
+        let was_worker = IN_WORKER.with(|c| c.replace(true));
+        for i in 0..n {
+            let mut items = UnitItems {
+                handoff: &handoff,
+                ended: false,
+                waited: 0,
+            };
+            util.tasks += 1;
+            if let Err(p) = catch_unwind(AssertUnwindSafe(|| consume(i, &mut items))) {
+                fail(p);
+            }
+            // Skip whatever of the unit `consume` left unread.
+            items.by_ref().for_each(drop);
+            waited += items.waited;
+            if handoff.lock().poisoned {
+                break;
+            }
+        }
+        IN_WORKER.with(|c| c.set(was_worker));
+        let wall = start.elapsed();
+        util.busy_ns = (wall.as_nanos() as u64).saturating_sub(waited);
+        record_utilization(1, &util, wall);
+    };
+
+    run_workers_beside(1, produce_all, consume_all);
+
+    if let Some(p) = panic_payload.into_inner().expect("panic slot lock") {
+        resume_unwind(p);
+    }
 }
 
 /// Splits `data` into disjoint chunks of `chunk_size` (the last may be
@@ -640,6 +905,169 @@ mod tests {
             .find(|p| p.path == "par.test.wave>par.test.cell")
             .expect("cell spans nest under the caller's open span");
         assert_eq!(cell.count, 20);
+    }
+
+    /// Runs a pipeline whose unit `u` emits `u % 5` items `u * 100 + k`,
+    /// returning what the consumer saw per unit.
+    fn pipeline_trace(units: usize, capacity: usize) -> Vec<(usize, Vec<usize>)> {
+        let mut seen = Vec::new();
+        par_pipeline(
+            (0..units).collect(),
+            capacity,
+            |i, u: usize, emit| {
+                assert_eq!(i, u);
+                for k in 0..u % 5 {
+                    emit(u * 100 + k);
+                }
+            },
+            |i, items| seen.push((i, items.collect())),
+        );
+        seen
+    }
+
+    #[test]
+    fn pipeline_delivers_each_units_items_in_order_at_any_thread_count() {
+        let expect: Vec<(usize, Vec<usize>)> = (0..23)
+            .map(|u| (u, (0..u % 5).map(|k| u * 100 + k).collect()))
+            .collect();
+        for threads in [1, 2, 3, 8] {
+            for capacity in [1, 2, 7] {
+                let got = with_threads(threads, || pipeline_trace(23, capacity));
+                assert_eq!(got, expect, "threads {threads} capacity {capacity}");
+            }
+        }
+        // Nested inside another region: inline, same result.
+        let nested = with_threads(4, || par_map(vec![0u8; 3], |_, _| pipeline_trace(23, 2)));
+        assert!(nested.iter().all(|got| *got == expect));
+        assert!(with_threads(2, || pipeline_trace(0, 3)).is_empty());
+    }
+
+    #[test]
+    fn pipeline_hand_off_is_bounded() {
+        let produced = AtomicUsize::new(0);
+        let consumed = AtomicUsize::new(0);
+        let max_ahead = AtomicUsize::new(0);
+        let capacity = 3;
+        with_threads(2, || {
+            par_pipeline(
+                (0..6).collect::<Vec<usize>>(),
+                capacity,
+                |_, _, emit| {
+                    for k in 0..20 {
+                        let ahead = produced.fetch_add(1, Ordering::SeqCst) + 1
+                            - consumed.load(Ordering::SeqCst);
+                        max_ahead.fetch_max(ahead, Ordering::SeqCst);
+                        emit(k);
+                    }
+                },
+                |_, items| {
+                    for _ in items {
+                        std::thread::sleep(std::time::Duration::from_micros(50));
+                        consumed.fetch_add(1, Ordering::SeqCst);
+                    }
+                },
+            )
+        });
+        assert_eq!(consumed.load(Ordering::SeqCst), 120);
+        // Queued items, plus the one the consumer holds, plus the one being
+        // emitted.
+        let ahead = max_ahead.load(Ordering::SeqCst);
+        assert!(ahead <= capacity + 2, "producer ran {ahead} items ahead");
+    }
+
+    #[test]
+    fn pipeline_consumer_may_leave_items_unread() {
+        let mut firsts = Vec::new();
+        with_threads(2, || {
+            par_pipeline(
+                (0..10).collect::<Vec<usize>>(),
+                2,
+                |_, u, emit| (0..4).for_each(|k| emit(u * 10 + k)),
+                |_, items| firsts.push(items.next()),
+            )
+        });
+        let expect: Vec<Option<usize>> = (0..10).map(|u| Some(u * 10)).collect();
+        assert_eq!(firsts, expect);
+    }
+
+    fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
+        payload
+            .downcast_ref::<String>()
+            .cloned()
+            .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
+            .unwrap_or_default()
+    }
+
+    #[test]
+    fn pipeline_panics_propagate_from_either_stage() {
+        for threads in [1, 2] {
+            let caught = std::panic::catch_unwind(|| {
+                with_threads(threads, || {
+                    par_pipeline(
+                        (0..50).collect::<Vec<u32>>(),
+                        1,
+                        |_, u, emit| {
+                            assert!(u != 7, "producer unit seven exploded");
+                            (0..3).for_each(|_| emit(u));
+                        },
+                        |_, items| items.for_each(drop),
+                    )
+                })
+            });
+            let msg = panic_message(caught.expect_err("producer must panic"));
+            assert!(msg.contains("producer unit seven"), "{threads}: {msg}");
+
+            // The consumer dies while the producer is blocked on a full queue.
+            let caught = std::panic::catch_unwind(|| {
+                with_threads(threads, || {
+                    par_pipeline(
+                        (0..50).collect::<Vec<u32>>(),
+                        1,
+                        |_, u, emit| (0..3).for_each(|_| emit(u)),
+                        |i, items| {
+                            assert!(i != 3, "consumer unit three exploded");
+                            items.for_each(drop);
+                        },
+                    )
+                })
+            });
+            let msg = panic_message(caught.expect_err("consumer must panic"));
+            assert!(msg.contains("consumer unit three"), "{threads}: {msg}");
+        }
+    }
+
+    #[test]
+    fn pipeline_records_one_task_per_unit_per_stage() {
+        let reg = Arc::new(vapp_obs::Registry::new());
+        vapp_obs::registry::with_registry(reg.clone(), || {
+            let _outer = vapp_obs::span!("par.test.pipe");
+            with_threads(3, || {
+                par_pipeline(
+                    (0..9).collect::<Vec<u32>>(),
+                    2,
+                    |_, u, emit| {
+                        let _s = vapp_obs::span!("par.test.produce");
+                        emit(u);
+                    },
+                    |_, items| {
+                        let _s = vapp_obs::span!("par.test.consume");
+                        items.for_each(drop);
+                    },
+                )
+            });
+        });
+        let snap = reg.snapshot();
+        assert_eq!(snap.counter("par.worker.0.tasks"), 9);
+        assert_eq!(snap.counter("par.worker.1.tasks"), 9);
+        assert!(!snap
+            .counters
+            .iter()
+            .any(|(n, _)| n.starts_with("par.worker.2.")));
+        for stage in ["produce", "consume"] {
+            let path = format!("par.test.pipe>par.test.{stage}");
+            let entry = snap.profile.iter().find(|p| p.path == path);
+            assert_eq!(entry.map(|p| p.count), Some(9), "{path}");
+        }
     }
 
     #[test]
